@@ -58,12 +58,24 @@ std::vector<data::ValueCode> BayesianNetwork::SampleTuple(Rng& rng) const {
 data::Table BayesianNetwork::SampleTable(size_t num_rows,
                                          double population_size,
                                          Rng& rng) const {
-  data::Table table(schema_);
   const double w =
       num_rows == 0 ? 0.0 : population_size / static_cast<double>(num_rows);
+  data::Table table(schema_, num_rows, w);
+  std::vector<data::ValueCode*> columns(num_nodes());
+  for (size_t v = 0; v < num_nodes(); ++v) {
+    columns[v] = table.mutable_column(v).data();
+  }
   for (size_t r = 0; r < num_rows; ++r) {
-    table.AppendRow(SampleTuple(rng));
-    table.set_weight(r, w);
+    for (size_t v : topo_order_) {
+      const Cpt& cpt = cpts_[v];
+      // Cpt::ConfigIndex over this row's parent codes, without a TupleKey.
+      size_t config = 0;
+      for (size_t i = 0; i < cpt.parents().size(); ++i) {
+        config = config * cpt.parent_sizes()[i] +
+                 static_cast<size_t>(columns[cpt.parents()[i]][r]);
+      }
+      columns[v][r] = cpt.Sample(config, rng);
+    }
   }
   return table;
 }

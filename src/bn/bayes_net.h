@@ -39,7 +39,13 @@ class BayesianNetwork {
   /// Generates `num_rows` forward samples as a table sharing the schema,
   /// each row weighted `population_size / num_rows` so the table is a
   /// uniformly-scaled representative sample of the modeled population
-  /// (Sec 4.2.4).
+  /// (Sec 4.2.4). The rows are those of `num_rows` SampleTuple calls.
+  ///
+  /// Every tuple takes exactly one Rng::UniformDouble per node, and each of
+  /// those is one engine step (util_test checks this against discard), so
+  /// a call advances `rng` by exactly num_rows · num_nodes() steps. Callers
+  /// rely on that to generate consecutive tables of one stream in parallel
+  /// from copies jumped ahead with engine().discard.
   data::Table SampleTable(size_t num_rows, double population_size,
                           Rng& rng) const;
 

@@ -137,8 +137,19 @@ Status Catalog::Build(const std::string& name) {
         std::max<size_t>(1, effective.result_memo_bytes / n);
   }
   auto model = ThemisModel::Build(relation.pending_sample->Clone(),
-                                  *relation.pending_aggregates, effective);
+                                  *relation.pending_aggregates, effective,
+                                  pool_);
   if (!model.ok()) return model.status();
+  const BuildStats& stats = model->build_stats();
+  THEMIS_LOG(Info) << "built relation '" << name << "': "
+                   << ReweightMethodName(effective.reweight) << " "
+                   << stats.reweight_seconds << " s ("
+                   << stats.reweight_iterations << " iterations, converged "
+                   << (stats.reweight_converged ? "yes" : "no")
+                   << ", max violation " << stats.reweight_max_violation
+                   << "), BN structure " << stats.bn_structure_seconds
+                   << " s, parameters " << stats.bn_parameter_seconds
+                   << " s, generate " << stats.generate_seconds << " s";
   relation.model = std::make_unique<ThemisModel>(std::move(model).value());
   relation.evaluator = std::make_unique<HybridEvaluator>(
       relation.model.get(), relation.table_name, pool_, name);

@@ -7,6 +7,7 @@
 #include "reweight/linreg.h"
 #include "reweight/uniform.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace themis::core {
@@ -25,7 +26,8 @@ const char* ReweightMethodName(ReweightMethod method) {
 
 Result<ThemisModel> ThemisModel::Build(data::Table sample,
                                        aggregate::AggregateSet aggregates,
-                                       const ThemisOptions& options) {
+                                       const ThemisOptions& options,
+                                       util::ThreadPool* pool) {
   if (sample.num_rows() == 0) {
     return Status::InvalidArgument("ThemisModel: empty sample");
   }
@@ -85,6 +87,7 @@ Result<ThemisModel> ThemisModel::Build(data::Table sample,
                                          model.population_size_));
       model.build_stats_.reweight_converged = rw.stats().converged;
       model.build_stats_.reweight_iterations = rw.stats().iterations;
+      model.build_stats_.reweight_max_violation = rw.stats().max_violation;
       break;
     }
   }
@@ -109,12 +112,28 @@ Result<ThemisModel> ThemisModel::Build(data::Table sample,
     timer.Restart();
     const size_t rows = options.bn_sample_rows > 0 ? options.bn_sample_rows
                                                    : model.sample_.num_rows();
+    // The K tables are consecutive stretches of one Rng(seed) stream. Each
+    // SampleTable call advances its Rng by exactly rows · num_nodes()
+    // steps, so table k starts from a copy jumped that far k times, and
+    // the parallel tables equal the sequential ones bit for bit.
+    const size_t k_samples = options.bn_group_by_samples;
+    std::vector<Rng> rngs;
+    rngs.reserve(k_samples);
     Rng rng(options.seed);
-    model.bn_samples_.reserve(options.bn_group_by_samples);
-    for (size_t k = 0; k < options.bn_group_by_samples; ++k) {
-      model.bn_samples_.push_back(
-          model.network_->SampleTable(rows, model.population_size_, rng));
+    for (size_t k = 0; k < k_samples; ++k) {
+      rngs.push_back(rng);
+      if (k + 1 < k_samples) {
+        rng.engine().discard(rows * model.network_->num_nodes());
+      }
     }
+    std::unique_ptr<util::ThreadPool> owned_pool;
+    util::ThreadPool* build_pool =
+        util::ResolvePool(pool, options.num_threads, owned_pool);
+    model.bn_samples_.assign(k_samples, data::Table(model.sample_.schema()));
+    build_pool->ParallelFor(0, k_samples, [&](size_t k) {
+      model.bn_samples_[k] =
+          model.network_->SampleTable(rows, model.population_size_, rngs[k]);
+    });
     model.build_stats_.generate_seconds = timer.Seconds();
   }
   return model;

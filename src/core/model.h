@@ -10,6 +10,10 @@
 #include "data/table.h"
 #include "util/status.h"
 
+namespace themis::util {
+class ThreadPool;
+}  // namespace themis::util
+
 namespace themis::core {
 
 /// Timing/diagnostic record of a model build, used by the Table 8 / Fig 16
@@ -21,6 +25,9 @@ struct BuildStats {
   double generate_seconds = 0;
   bool reweight_converged = true;
   int reweight_iterations = 0;
+  /// IPF's final max relative constraint violation (IpfStats); 0 for the
+  /// other reweighters.
+  double reweight_max_violation = 0;
   size_t aggregates_used = 0;
 };
 
@@ -31,10 +38,13 @@ class ThemisModel {
  public:
   /// Runs the full build pipeline: infer |P| → prune Γ to the budget →
   /// reweight S → learn the BN → pre-generate the K BN sample tables used
-  /// for GROUP BY answering.
+  /// for GROUP BY answering. The K tables generate in parallel on `pool`,
+  /// resolved like the evaluator's (util::ResolvePool with
+  /// options.num_threads); they are bitwise identical for every pool size.
   static Result<ThemisModel> Build(data::Table sample,
                                    aggregate::AggregateSet aggregates,
-                                   const ThemisOptions& options = {});
+                                   const ThemisOptions& options = {},
+                                   util::ThreadPool* pool = nullptr);
 
   const ThemisOptions& options() const { return options_; }
   double population_size() const { return population_size_; }

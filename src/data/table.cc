@@ -9,6 +9,14 @@ Table::Table(SchemaPtr schema) : schema_(std::move(schema)) {
   columns_.resize(schema_->num_attributes());
 }
 
+Table::Table(SchemaPtr schema, size_t num_rows, double weight)
+    : schema_(std::move(schema)), num_rows_(num_rows) {
+  THEMIS_CHECK(schema_ != nullptr);
+  columns_.assign(schema_->num_attributes(),
+                  std::vector<ValueCode>(num_rows, 0));
+  weights_.assign(num_rows, weight);
+}
+
 void Table::AppendRow(const std::vector<ValueCode>& codes) {
   THEMIS_CHECK(codes.size() == columns_.size())
       << "row arity " << codes.size() << " != schema arity "

@@ -19,6 +19,10 @@ class Table {
  public:
   explicit Table(SchemaPtr schema);
 
+  /// A table of `num_rows` rows, every code 0 and every weight `weight`,
+  /// for writers that fill the columns in place (mutable_column).
+  Table(SchemaPtr schema, size_t num_rows, double weight);
+
   const SchemaPtr& schema() const { return schema_; }
   size_t num_rows() const { return num_rows_; }
   size_t num_attributes() const { return columns_.size(); }
@@ -47,6 +51,10 @@ class Table {
 
   /// Full column access (for tight loops in solvers/executors).
   const std::vector<ValueCode>& column(size_t attr) const {
+    return columns_[attr];
+  }
+  /// Writable column; callers change its codes, never its length.
+  std::vector<ValueCode>& mutable_column(size_t attr) {
     return columns_[attr];
   }
 

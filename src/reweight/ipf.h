@@ -30,6 +30,10 @@ struct IpfStats {
 /// unsatisfied aggregate group in turn until all constraints hold (or the
 /// iteration budget is exhausted — e.g. when the sample is missing tuples,
 /// Example 4.2, in which case the approximate weights are still returned).
+/// Rows with equal codes on every aggregate-covered attribute always share
+/// one weight, so the loop runs over those distinct-tuple classes, weighing
+/// each by its row count, and copies the class weight to its rows at the
+/// end.
 class IpfReweighter : public Reweighter {
  public:
   explicit IpfReweighter(IpfOptions options = {}) : options_(options) {}

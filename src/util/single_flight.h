@@ -130,7 +130,9 @@ class SingleFlight {
   /// Executes `execute(token)` once per concurrently-presented `key`.
   /// `self` (nullable) is this caller's own cancellation handle; `execute`
   /// receives the flight's collective token, which must be threaded into
-  /// the cancellable work in place of `self`.
+  /// the cancellable work in place of `self`. A re-entrant call (below)
+  /// passes `self` itself, so `execute` may receive null: poll it with
+  /// util::CheckCancel.
   ///
   /// Re-entrancy: a thread that is currently executing some flight's
   /// leader work (this map or any other) never parks as a follower — the

@@ -189,6 +189,28 @@ TEST(BayesNetTest, SampleTableWeightsScaleToPopulation) {
   EXPECT_DOUBLE_EQ(table.weight(0), 50.0);
 }
 
+TEST(BayesNetTest, SampleTableMatchesSampleTupleDrawForDraw) {
+  // SampleTable fills its columns in place; it must still give
+  // SampleTuple's rows and move the Rng exactly rows · num_nodes() steps
+  // on (parallel generation jumps ahead by that count).
+  BayesianNetwork network = ChainNetwork();
+  const size_t rows = 1000;
+  Rng by_table(9);
+  Rng by_tuple(9);
+  data::Table table = network.SampleTable(rows, 10.0, by_table);
+  ASSERT_EQ(table.num_rows(), rows);
+  for (size_t r = 0; r < rows; ++r) {
+    const std::vector<data::ValueCode> tuple = network.SampleTuple(by_tuple);
+    for (size_t v = 0; v < network.num_nodes(); ++v) {
+      ASSERT_EQ(table.Get(r, v), tuple[v]) << "row " << r << " node " << v;
+    }
+  }
+  Rng jumped(9);
+  jumped.engine().discard(rows * network.num_nodes());
+  EXPECT_TRUE(by_table.engine() == by_tuple.engine());
+  EXPECT_TRUE(by_table.engine() == jumped.engine());
+}
+
 TEST(InferenceTest, FullEvidenceEqualsJoint) {
   BayesianNetwork network = ChainNetwork();
   VariableElimination ve(&network);

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <thread>
+
 #include "core/evaluator.h"
 #include "core/model.h"
 #include "core/themis_db.h"
+#include "util/thread_pool.h"
 
 namespace themis::core {
 namespace {
@@ -149,6 +153,43 @@ TEST_F(Example31Test, BuildStatsPopulated) {
   ASSERT_TRUE(model.ok());
   EXPECT_EQ(model->build_stats().aggregates_used, 2u);
   EXPECT_GE(model->build_stats().reweight_seconds, 0.0);
+  // Example 4.2: the sample misses FL-bound tuples, so IPF stops at its
+  // iteration budget with the violation it could not remove.
+  EXPECT_FALSE(model->build_stats().reweight_converged);
+  EXPECT_EQ(model->build_stats().reweight_iterations, 200);
+  EXPECT_GT(model->build_stats().reweight_max_violation, 0.01);
+}
+
+TEST_F(Example31Test, BnSamplesBitwiseIdenticalAcrossPoolSizes) {
+  // The K tables generate in parallel from jumped-ahead Rng copies; they
+  // must equal K SampleTable calls in a row on one Rng(seed), whatever
+  // the pool size.
+  const ThemisOptions options = FastOptions();
+  const size_t hw = std::max(1u, std::thread::hardware_concurrency());
+  std::vector<data::Table> expected;
+  for (size_t threads : {size_t{1}, size_t{2}, hw}) {
+    util::ThreadPool pool(threads);
+    auto model =
+        ThemisModel::Build(sample_->Clone(), aggregates_, options, &pool);
+    ASSERT_TRUE(model.ok()) << model.status().ToString();
+    if (expected.empty()) {
+      Rng rng(options.seed);
+      for (size_t k = 0; k < options.bn_group_by_samples; ++k) {
+        expected.push_back(model->network()->SampleTable(
+            options.bn_sample_rows, model->population_size(), rng));
+      }
+    }
+    ASSERT_EQ(model->bn_samples().size(), expected.size());
+    for (size_t k = 0; k < expected.size(); ++k) {
+      const data::Table& got = model->bn_samples()[k];
+      ASSERT_EQ(got.num_rows(), expected[k].num_rows());
+      for (size_t a = 0; a < got.num_attributes(); ++a) {
+        EXPECT_EQ(got.column(a), expected[k].column(a))
+            << threads << " threads, sample " << k << ", attribute " << a;
+      }
+      EXPECT_EQ(got.weights(), expected[k].weights());
+    }
+  }
 }
 
 TEST_F(Example31Test, ThemisDbEndToEnd) {

@@ -182,7 +182,9 @@ TEST(NnlsTest, KktConditionsHold) {
   for (size_t j = 0; j < 6; ++j) {
     EXPECT_GE(r->x[j], 0.0);
     EXPECT_GE(g[j], -1e-6);
-    if (r->x[j] > 1e-9) EXPECT_NEAR(g[j], 0.0, 1e-6);
+    if (r->x[j] > 1e-9) {
+      EXPECT_NEAR(g[j], 0.0, 1e-6);
+    }
   }
 }
 

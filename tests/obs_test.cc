@@ -195,7 +195,8 @@ TEST(SlowQueryLogTest, KeepsWorstK) {
   SlowQueryLog log(3);
   for (int64_t ms : {5, 1, 9, 3, 7, 2, 8}) {
     SlowQueryEntry entry;
-    entry.sql = "q" + std::to_string(ms);
+    entry.sql = "q";
+    entry.sql += std::to_string(ms);
     entry.total_ns = ms * 1000000;
     log.Offer(std::move(entry));
   }

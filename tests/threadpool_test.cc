@@ -327,7 +327,7 @@ TEST(SingleFlightTest, FollowerDeadlineDetachesWithoutCancellingTheLeader) {
           released.wait();
           // The follower detached long ago; governance is back with the
           // (token-less) leader, so the flight is still live.
-          return Result<int>(token->Check().ok() ? 7 : -1);
+          return Result<int>(util::CheckCancel(token).ok() ? 7 : -1);
         });
   });
   leader_entered.get_future().wait();

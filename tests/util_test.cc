@@ -164,6 +164,21 @@ TEST(RngTest, CategoricalRespectsZeroWeights) {
   }
 }
 
+TEST(RngTest, UniformDoubleIsOneEngineStep) {
+  // Parallel BN sample generation (BayesianNetwork::SampleTable's
+  // callers) replaces N UniformDouble calls by engine().discard(N); the
+  // generated tables stay bitwise identical only while every draw takes
+  // exactly one engine step. This pins the standard library to that.
+  for (size_t n : {0, 1, 7, 312, 313, 1000, 100000}) {
+    Rng drawn(42);
+    Rng jumped(42);
+    for (size_t i = 0; i < n; ++i) drawn.UniformDouble();
+    jumped.engine().discard(n);
+    EXPECT_TRUE(drawn.engine() == jumped.engine()) << n << " draws";
+    EXPECT_EQ(drawn.UniformDouble(), jumped.UniformDouble());
+  }
+}
+
 TEST(CategoricalSamplerTest, MatchesWeights) {
   Rng rng(3);
   CategoricalSampler sampler({1.0, 3.0});
@@ -192,7 +207,7 @@ TEST(RngTest, ZipfSkewsTowardsSmallIndices) {
 TEST(TimerTest, MeasuresElapsed) {
   Timer t;
   volatile double sink = 0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  for (int i = 0; i < 100000; ++i) sink = sink + i;
   EXPECT_GE(t.Seconds(), 0.0);
   EXPECT_LT(t.Seconds(), 10.0);
 }
