@@ -149,7 +149,11 @@ Status Catalog::Build(const std::string& name) {
                    << ", max violation " << stats.reweight_max_violation
                    << "), BN structure " << stats.bn_structure_seconds
                    << " s, parameters " << stats.bn_parameter_seconds
-                   << " s, generate " << stats.generate_seconds << " s";
+                   << " s, generate " << stats.generate_seconds
+                   << " s, compact " << stats.compact_seconds << " s (sample "
+                   << stats.sample_rows << " -> " << stats.sample_classes
+                   << " rows, BN samples " << stats.bn_rows << " -> "
+                   << stats.bn_classes << " rows)";
   relation.model = std::make_unique<ThemisModel>(std::move(model).value());
   relation.evaluator = std::make_unique<HybridEvaluator>(
       relation.model.get(), relation.table_name, pool_, name);

@@ -93,12 +93,28 @@ Result<ThemisModel> ThemisModel::Build(data::Table sample,
   }
   model.build_stats_.reweight_seconds = timer.Seconds();
 
-  // Probabilistic model learning + GROUP BY sample generation. The BN is
+  // Every table the model keeps holds one row per distinct tuple
+  // (Table::Compact): answers only sum and multiply weights, so a row's
+  // multiplicity rides in its weight and scans touch fewer rows. The BN is
   // learned from the *raw* sample (unit weights): Eq. 2 maximizes the
-  // likelihood of S itself, not of the reweighted sample.
+  // likelihood of S itself, not of the reweighted sample. Compacted, its
+  // weights are exact integer multiplicities, so every count learning takes
+  // is the integer it is over the rows, and the learned BN is the same.
+  timer.Restart();
+  const size_t sample_rows = model.sample_.num_rows();
+  data::Table raw_sample(model.sample_.schema());
   if (options.enable_bn) {
-    data::Table raw_sample = model.sample_.Clone();
+    raw_sample = model.sample_.Clone();
     raw_sample.FillWeights(1.0);
+    raw_sample = raw_sample.Compact();
+  }
+  model.sample_ = model.sample_.Compact();
+  model.build_stats_.compact_seconds = timer.Seconds();
+  model.build_stats_.sample_rows = sample_rows;
+  model.build_stats_.sample_classes = model.sample_.num_rows();
+
+  // Probabilistic model learning + GROUP BY sample generation.
+  if (options.enable_bn) {
     bn::BnLearnStats bn_stats;
     auto network = bn::LearnBayesNet(model.sample_.schema(), &raw_sample,
                                      &model.aggregates_, options.bn,
@@ -110,8 +126,8 @@ Result<ThemisModel> ThemisModel::Build(data::Table sample,
     model.build_stats_.bn_parameter_seconds = bn_stats.parameter_seconds;
 
     timer.Restart();
-    const size_t rows = options.bn_sample_rows > 0 ? options.bn_sample_rows
-                                                   : model.sample_.num_rows();
+    const size_t rows =
+        options.bn_sample_rows > 0 ? options.bn_sample_rows : sample_rows;
     // The K tables are consecutive stretches of one Rng(seed) stream. Each
     // SampleTable call advances its Rng by exactly rows · num_nodes()
     // steps, so table k starts from a copy jumped that far k times, and
@@ -130,11 +146,20 @@ Result<ThemisModel> ThemisModel::Build(data::Table sample,
     util::ThreadPool* build_pool =
         util::ResolvePool(pool, options.num_threads, owned_pool);
     model.bn_samples_.assign(k_samples, data::Table(model.sample_.schema()));
+    std::vector<double> compact_seconds(k_samples, 0.0);
     build_pool->ParallelFor(0, k_samples, [&](size_t k) {
-      model.bn_samples_[k] =
+      const data::Table drawn =
           model.network_->SampleTable(rows, model.population_size_, rngs[k]);
+      Timer compact_timer;
+      model.bn_samples_[k] = drawn.Compact();
+      compact_seconds[k] = compact_timer.Seconds();
     });
     model.build_stats_.generate_seconds = timer.Seconds();
+    for (size_t k = 0; k < k_samples; ++k) {
+      model.build_stats_.compact_seconds += compact_seconds[k];
+      model.build_stats_.bn_rows += rows;
+      model.build_stats_.bn_classes += model.bn_samples_[k].num_rows();
+    }
   }
   return model;
 }

@@ -29,6 +29,17 @@ struct BuildStats {
   /// other reweighters.
   double reweight_max_violation = 0;
   size_t aggregates_used = 0;
+  /// Seconds in Table::Compact, summed over the sample, the raw sample the
+  /// BN learns from and the K BN samples. The BN samples compact inside
+  /// the parallel tasks that generate them, so generate_seconds covers
+  /// that part too.
+  double compact_seconds = 0;
+  /// Rows of the reweighted sample before and after compaction.
+  size_t sample_rows = 0;
+  size_t sample_classes = 0;
+  /// Rows of the K BN samples before and after compaction, summed over K.
+  size_t bn_rows = 0;
+  size_t bn_classes = 0;
 };
 
 /// The model M(Γ, S) of Sec 4: a reweighted sample plus a Bayesian-network
@@ -37,7 +48,8 @@ struct BuildStats {
 class ThemisModel {
  public:
   /// Runs the full build pipeline: infer |P| → prune Γ to the budget →
-  /// reweight S → learn the BN → pre-generate the K BN sample tables used
+  /// reweight S → keep one row per distinct tuple of S (Table::Compact) →
+  /// learn the BN → pre-generate and compact the K BN sample tables used
   /// for GROUP BY answering. The K tables generate in parallel on `pool`,
   /// resolved like the evaluator's (util::ResolvePool with
   /// options.num_threads); they are bitwise identical for every pool size.
@@ -49,13 +61,19 @@ class ThemisModel {
   const ThemisOptions& options() const { return options_; }
   double population_size() const { return population_size_; }
 
-  /// The sample with learned weights (queried via SUM(weight)).
+  /// The sample with learned weights (queried via SUM(weight)), one row
+  /// per distinct tuple: a row weighs the sum of the learned weights of
+  /// the sample rows holding its tuple (Table::Compact).
   const data::Table& reweighted_sample() const { return sample_; }
 
   /// The learned population model; null when options.enable_bn is false.
   const bn::BayesianNetwork* network() const { return network_.get(); }
 
-  /// The K pre-generated, uniformly-scaled BN samples (empty if no BN).
+  /// The K pre-generated BN samples (empty if no BN), one row per
+  /// distinct tuple. Each draws options.bn_sample_rows rows (default: as
+  /// many as the sample has), each weighing population_size over that
+  /// count; a kept row carries the summed weight of the drawn rows holding
+  /// its tuple (Table::Compact).
   const std::vector<data::Table>& bn_samples() const { return bn_samples_; }
 
   /// The aggregates actually used after pruning.

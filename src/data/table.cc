@@ -1,5 +1,8 @@
 #include "data/table.h"
 
+#include <numeric>
+
+#include "data/row_classes.h"
 #include "util/logging.h"
 
 namespace themis::data {
@@ -87,6 +90,22 @@ Table Table::Clone() const {
   out.num_rows_ = num_rows_;
   out.columns_ = columns_;
   out.weights_ = weights_;
+  return out;
+}
+
+Table Table::Compact() const {
+  std::vector<size_t> all(columns_.size());
+  std::iota(all.begin(), all.end(), size_t{0});
+  const RowClasses classes = ClassifyRows(*this, all);
+  Table out(schema_, classes.num_classes(), 0.0);
+  for (size_t a = 0; a < columns_.size(); ++a) {
+    for (size_t c = 0; c < classes.num_classes(); ++c) {
+      out.columns_[a][c] = columns_[a][classes.first_row[c]];
+    }
+  }
+  for (size_t r = 0; r < num_rows_; ++r) {
+    out.weights_[classes.row_class[r]] += weights_[r];
+  }
   return out;
 }
 

@@ -86,6 +86,13 @@ class Table {
   /// Deep copy.
   Table Clone() const;
 
+  /// One row per distinct code tuple, in order of first occurrence, each
+  /// weighing the sum of its rows' weights (added in row order). Zero-weight
+  /// rows are kept like any other. Every COUNT(*) = Σw, SUM = Σw·v and
+  /// weight-multiplying join answer is that of this table up to float
+  /// rounding. Compacting a compacted table leaves it unchanged.
+  Table Compact() const;
+
  private:
   SchemaPtr schema_;
   size_t num_rows_ = 0;

@@ -48,10 +48,15 @@ class PackedKeyCodec {
       masks_.push_back(bits >= 64 ? ~0ull : (1ull << bits) - 1);
       total += bits;
     }
+    total_bits_ = total;
     packable_ = total <= 64;
   }
 
   bool packable() const { return packable_; }
+
+  /// Sum of the component widths: a packed key uses only its low
+  /// total_bits() bits.
+  size_t total_bits() const { return total_bits_; }
 
   /// Bit offset of component i — callers' hot loops OR `code << shift(i)`
   /// terms together to encode a key.
@@ -64,6 +69,7 @@ class PackedKeyCodec {
  private:
   std::vector<uint32_t> shifts_;
   std::vector<uint64_t> masks_;
+  size_t total_bits_ = 0;
   bool packable_ = true;
 };
 

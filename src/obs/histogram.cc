@@ -18,7 +18,8 @@ int64_t Histogram::BucketUpperBound(size_t index) {
   const size_t group = (index - 64) / kSubBuckets;
   const size_t sub = (index - 64) % kSubBuckets;
   const int shift = static_cast<int>(group) + 1;
-  return (static_cast<int64_t>(sub + kSubBuckets + 1) << shift) - 1;
+  // Unsigned: the last bucket's bound is 2^63 - 1, and 2^63 is no int64_t.
+  return static_cast<int64_t>((uint64_t{sub + kSubBuckets + 1} << shift) - 1);
 }
 
 void Histogram::Record(int64_t value) {

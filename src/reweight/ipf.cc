@@ -2,45 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
+#include "data/row_classes.h"
 #include "reweight/incidence.h"
 #include "util/logging.h"
 
 namespace themis::reweight {
-namespace {
-
-/// The sample's rows partitioned into classes: rows with equal codes on
-/// every attribute some aggregate covers. Such rows belong to exactly the
-/// same aggregate groups, so IPF, which starts every row at weight 1 and
-/// scales all participants of a group by one factor, keeps their weights
-/// equal throughout. Class ids follow first occurrence in row order.
-struct RowClasses {
-  std::vector<size_t> row_class;  ///< class id of each sample row
-  std::vector<double> count;      ///< rows in each class
-  std::vector<bool> first_row;    ///< true on the first row of each class
-};
-
-RowClasses ClassifyRows(const data::Table& sample,
-                        const std::vector<size_t>& covered) {
-  RowClasses classes;
-  classes.row_class.resize(sample.num_rows());
-  classes.first_row.assign(sample.num_rows(), false);
-  std::unordered_map<data::TupleKey, size_t, data::TupleKeyHash> ids;
-  for (size_t r = 0; r < sample.num_rows(); ++r) {
-    auto [it, inserted] =
-        ids.emplace(sample.KeyFor(r, covered), classes.count.size());
-    if (inserted) {
-      classes.count.push_back(0.0);
-      classes.first_row[r] = true;
-    }
-    classes.count[it->second] += 1.0;
-    classes.row_class[r] = it->second;
-  }
-  return classes;
-}
-
-}  // namespace
 
 Status IpfReweighter::Reweight(data::Table& sample,
                                const aggregate::AggregateSet& aggregates,
@@ -55,20 +22,27 @@ Status IpfReweighter::Reweight(data::Table& sample,
     return Status::OK();
   }
 
-  // Alg 1 runs over row classes instead of rows: one representative row
-  // per class gives the incidence system one column per class, and a
-  // group's sum over its rows is Σ count·w over its classes. In real
-  // arithmetic this is Alg 1 exactly; in floating point only the order of
-  // each row sum's additions differs.
-  const RowClasses classes =
-      ClassifyRows(sample, aggregates.CoveredAttributes());
+  // Alg 1 runs over row classes instead of rows: rows with equal codes on
+  // every attribute some aggregate covers belong to exactly the same
+  // aggregate groups, so IPF, which starts every row at weight 1 and
+  // scales all participants of a group by one factor, keeps their weights
+  // equal throughout. One representative row per class gives the
+  // incidence system one column per class, and a group's sum over its rows
+  // is Σ count·w over its classes. In real arithmetic this is Alg 1
+  // exactly; in floating point only the order of each row sum's additions
+  // differs.
+  const data::RowClasses classes =
+      data::ClassifyRows(sample, aggregates.CoveredAttributes());
+  std::vector<bool> first_row(sample.num_rows(), false);
+  for (uint32_t r : classes.first_row) first_row[r] = true;
   const IncidenceSystem sys =
-      BuildIncidence(sample.Filter(classes.first_row), aggregates);
-  std::vector<double> w(classes.count.size(), 1.0);
+      BuildIncidence(sample.Filter(first_row), aggregates);
+  const std::vector<double> count(classes.count.begin(), classes.count.end());
+  std::vector<double> w(count.size(), 1.0);
 
   auto row_sum = [&](size_t j) {
     double s = 0;
-    for (size_t c : sys.g.Row(j)) s += classes.count[c] * w[c];
+    for (size_t c : sys.g.Row(j)) s += count[c] * w[c];
     return s;
   };
   auto max_relative_violation = [&]() {

@@ -86,7 +86,10 @@ struct ExecutorStats {
   /// resolves the same backend unless THEMIS_SIMD changed between
   /// constructions.
   std::string simd_backend;
-  uint64_t rows_scanned = 0;     ///< rows fed through the filter pipeline
+  /// Rows fed through the filter pipeline. A model's tables hold one row
+  /// per distinct tuple (Table::Compact), so over them this counts
+  /// distinct tuples, not sample or BN-sample draws.
+  uint64_t rows_scanned = 0;
   uint64_t rows_passed = 0;      ///< rows surviving every filter
   uint64_t groups_emitted = 0;   ///< result rows materialized
   uint64_t join_build_rows = 0;  ///< rows inserted into join build tables

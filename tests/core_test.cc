@@ -1,12 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <thread>
 
+#include "bn/learn.h"
 #include "core/evaluator.h"
 #include "core/model.h"
 #include "core/themis_db.h"
+#include "reweight/ipf.h"
+#include "sql/executor.h"
+#include "sql/parser.h"
 #include "util/thread_pool.h"
+#include "workload/flights.h"
+#include "workload/sampler.h"
 
 namespace themis::core {
 namespace {
@@ -158,12 +165,23 @@ TEST_F(Example31Test, BuildStatsPopulated) {
   EXPECT_FALSE(model->build_stats().reweight_converged);
   EXPECT_EQ(model->build_stats().reweight_iterations, 200);
   EXPECT_GT(model->build_stats().reweight_max_violation, 0.01);
+  // The two (01, FL, FL) rows merge; 5 BN samples of 50 draws shrink too.
+  const BuildStats& stats = model->build_stats();
+  EXPECT_EQ(stats.sample_rows, 4u);
+  EXPECT_EQ(stats.sample_classes, 3u);
+  EXPECT_EQ(model->reweighted_sample().num_rows(), 3u);
+  EXPECT_EQ(stats.bn_rows, 250u);
+  size_t bn_classes = 0;
+  for (const data::Table& t : model->bn_samples()) bn_classes += t.num_rows();
+  EXPECT_EQ(stats.bn_classes, bn_classes);
+  EXPECT_LT(stats.bn_classes, stats.bn_rows);
+  EXPECT_GE(stats.compact_seconds, 0.0);
 }
 
 TEST_F(Example31Test, BnSamplesBitwiseIdenticalAcrossPoolSizes) {
-  // The K tables generate in parallel from jumped-ahead Rng copies; they
-  // must equal K SampleTable calls in a row on one Rng(seed), whatever
-  // the pool size.
+  // The K tables generate and compact in parallel from jumped-ahead Rng
+  // copies; they must equal the compacted outputs of K SampleTable calls
+  // in a row on one Rng(seed), whatever the pool size.
   const ThemisOptions options = FastOptions();
   const size_t hw = std::max(1u, std::thread::hardware_concurrency());
   std::vector<data::Table> expected;
@@ -175,8 +193,13 @@ TEST_F(Example31Test, BnSamplesBitwiseIdenticalAcrossPoolSizes) {
     if (expected.empty()) {
       Rng rng(options.seed);
       for (size_t k = 0; k < options.bn_group_by_samples; ++k) {
-        expected.push_back(model->network()->SampleTable(
-            options.bn_sample_rows, model->population_size(), rng));
+        expected.push_back(
+            model->network()
+                ->SampleTable(options.bn_sample_rows,
+                              model->population_size(), rng)
+                .Compact());
+        // 50 draws over 18 possible tuples must repeat some.
+        ASSERT_LT(expected.back().num_rows(), options.bn_sample_rows);
       }
     }
     ASSERT_EQ(model->bn_samples().size(), expected.size());
@@ -190,6 +213,184 @@ TEST_F(Example31Test, BnSamplesBitwiseIdenticalAcrossPoolSizes) {
       EXPECT_EQ(got.weights(), expected[k].weights());
     }
   }
+}
+
+void ExpectSameNetwork(const bn::BayesianNetwork& got,
+                       const bn::BayesianNetwork& want) {
+  EXPECT_EQ(got.dag().Edges(), want.dag().Edges());
+  ASSERT_EQ(got.num_nodes(), want.num_nodes());
+  for (size_t v = 0; v < want.num_nodes(); ++v) {
+    EXPECT_EQ(got.cpt(v).parents(), want.cpt(v).parents()) << "node " << v;
+    EXPECT_EQ(got.cpt(v).flat(), want.cpt(v).flat()) << "node " << v;
+  }
+}
+
+/// Every BN variant learned from `sample`'s rows at unit weight and from
+/// their compaction, whose weights are the rows' exact multiplicities:
+/// each count learning takes is the same integer, so the networks must be
+/// bitwise equal. Returns the default variant's network from the rows.
+Result<bn::BayesianNetwork> ExpectCompactedSampleLearnsSameBn(
+    const data::Table& sample, const aggregate::AggregateSet& aggregates) {
+  data::Table rows = sample.Clone();
+  rows.FillWeights(1.0);
+  const data::Table compacted = rows.Compact();
+  EXPECT_LT(compacted.num_rows(), rows.num_rows());
+  for (bn::BnVariant variant : {bn::BnVariant::kSS, bn::BnVariant::kSB,
+                                bn::BnVariant::kBS, bn::BnVariant::kBB,
+                                bn::BnVariant::kAB}) {
+    bn::BnLearnOptions options;
+    options.variant = variant;
+    auto from_rows =
+        bn::LearnBayesNet(rows.schema(), &rows, &aggregates, options);
+    auto from_compacted =
+        bn::LearnBayesNet(rows.schema(), &compacted, &aggregates, options);
+    EXPECT_TRUE(from_rows.ok() && from_compacted.ok());
+    if (!from_rows.ok() || !from_compacted.ok()) break;
+    SCOPED_TRACE(bn::BnVariantName(variant));
+    ExpectSameNetwork(*from_compacted, *from_rows);
+  }
+  return bn::LearnBayesNet(rows.schema(), &rows, &aggregates,
+                           ThemisOptions{}.bn);
+}
+
+TEST_F(Example31Test, BnFromCompactedSampleIsBitwiseTheRowLevelOne) {
+  auto from_rows = ExpectCompactedSampleLearnsSameBn(*sample_, aggregates_);
+  ASSERT_TRUE(from_rows.ok());
+  auto model =
+      ThemisModel::Build(sample_->Clone(), aggregates_, FastOptions());
+  ASSERT_TRUE(model.ok());
+  ExpectSameNetwork(*model->network(), *from_rows);
+}
+
+/// A biased flights sample (Corners, as the benchmark serves) with a 2-D
+/// and two 1-D aggregates: many of its rows repeat a tuple.
+class CompactedFlightsTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    workload::FlightsConfig config;
+    config.num_rows = 20000;
+    population_ =
+        std::make_unique<data::Table>(workload::GenerateFlights(config));
+    auto sample =
+        workload::MakeFlightsSample(*population_, "Corners", 0.1, 23);
+    ASSERT_TRUE(sample.ok());
+    sample_ = std::make_unique<data::Table>(std::move(sample).value());
+    aggregates_ = aggregate::AggregateSet(population_->schema());
+    aggregates_.Add(aggregate::ComputeAggregate(
+        *population_,
+        {workload::FlightsAttrs::kOrigin, workload::FlightsAttrs::kDest}));
+    aggregates_.Add(aggregate::ComputeAggregate(
+        *population_, {workload::FlightsAttrs::kDate}));
+    aggregates_.Add(aggregate::ComputeAggregate(
+        *population_, {workload::FlightsAttrs::kDistance}));
+  }
+
+  std::unique_ptr<data::Table> population_;
+  std::unique_ptr<data::Table> sample_;
+  aggregate::AggregateSet aggregates_;
+};
+
+TEST_F(CompactedFlightsTest, BnFromCompactedSampleIsBitwiseTheRowLevelOne) {
+  auto from_rows = ExpectCompactedSampleLearnsSameBn(*sample_, aggregates_);
+  ASSERT_TRUE(from_rows.ok());
+  auto model = ThemisModel::Build(sample_->Clone(), aggregates_);
+  ASSERT_TRUE(model.ok());
+  ExpectSameNetwork(*model->network(), *from_rows);
+}
+
+/// Same groups, and every value within 1e-12 relative.
+void ExpectSameAnswer(const sql::QueryResult& got,
+                      const sql::QueryResult& want, const std::string& what) {
+  ASSERT_EQ(got.rows.size(), want.rows.size()) << what;
+  for (size_t i = 0; i < want.rows.size(); ++i) {
+    EXPECT_EQ(got.rows[i].group, want.rows[i].group) << what;
+    ASSERT_EQ(got.rows[i].values.size(), want.rows[i].values.size());
+    for (size_t j = 0; j < want.rows[i].values.size(); ++j) {
+      const double w = want.rows[i].values[j];
+      EXPECT_NEAR(got.rows[i].values[j], w, 1e-12 * std::abs(w))
+          << what << " row " << i << " value " << j;
+    }
+  }
+}
+
+TEST_F(CompactedFlightsTest, AnswersMatchRowTables) {
+  ThemisOptions options;
+  options.bn_group_by_samples = 3;
+  auto model = ThemisModel::Build(sample_->Clone(), aggregates_, options);
+  ASSERT_TRUE(model.ok());
+  // The row tables the model compacted: the sample reweighted the same
+  // way, and the K BN samples drawn from one Rng(seed).
+  data::Table rows = sample_->Clone();
+  reweight::IpfReweighter ipf(options.ipf);
+  ASSERT_TRUE(
+      ipf.Reweight(rows, model->aggregates(), model->population_size()).ok());
+  ASSERT_LT(model->reweighted_sample().num_rows(), rows.num_rows());
+  std::vector<data::Table> bn_rows;
+  Rng rng(options.seed);
+  for (size_t k = 0; k < options.bn_group_by_samples; ++k) {
+    bn_rows.push_back(model->network()->SampleTable(
+        rows.num_rows(), model->population_size(), rng));
+  }
+
+  const std::vector<std::string> queries = {
+      "SELECT origin_state, COUNT(*), SUM(distance), AVG(elapsed_time) "
+      "FROM flights GROUP BY origin_state",
+      "SELECT fl_date, dest_state, COUNT(*), AVG(distance) FROM flights "
+      "WHERE distance < 1000 GROUP BY fl_date, dest_state",
+      "SELECT COUNT(*), SUM(elapsed_time) FROM flights "
+      "WHERE origin_state = 'CA'",
+      "SELECT a.fl_date, COUNT(*), SUM(b.distance), AVG(a.elapsed_time) "
+      "FROM flights a, flights b WHERE a.dest_state = b.origin_state "
+      "AND a.fl_date = b.fl_date GROUP BY a.fl_date",
+  };
+  auto expect_same_answers = [&](const data::Table& compacted,
+                                 const data::Table& row_table,
+                                 const std::string& what) {
+    sql::Executor got_exec;
+    got_exec.RegisterTable("flights", &compacted);
+    sql::Executor want_exec;
+    want_exec.RegisterTable("flights", &row_table);
+    for (const std::string& sql : queries) {
+      auto stmt = sql::Parse(sql);
+      ASSERT_TRUE(stmt.ok()) << sql;
+      auto got = got_exec.Execute(*stmt);
+      auto want = want_exec.Execute(*stmt);
+      ASSERT_TRUE(got.ok() && want.ok()) << sql;
+      ASSERT_FALSE(want->rows.empty()) << sql;
+      ExpectSameAnswer(*got, *want, what + ": " + sql);
+    }
+  };
+  expect_same_answers(model->reweighted_sample(), rows, "sample");
+  ASSERT_EQ(model->bn_samples().size(), bn_rows.size());
+  for (size_t k = 0; k < bn_rows.size(); ++k) {
+    expect_same_answers(model->bn_samples()[k], bn_rows[k],
+                        "BN sample " + std::to_string(k));
+  }
+
+  // Hybrid points (Sec 4.3) on population tuples: the sample's mass when
+  // the rows contain the tuple, the BN's estimate otherwise.
+  HybridEvaluator evaluator(&*model, "flights");
+  const std::vector<size_t> attrs = {workload::FlightsAttrs::kDate,
+                                     workload::FlightsAttrs::kOrigin,
+                                     workload::FlightsAttrs::kDest};
+  const auto masses = rows.GroupWeights(attrs);
+  size_t from_sample = 0;
+  for (size_t r = 0; r < population_->num_rows(); r += 97) {
+    const data::TupleKey key = population_->KeyFor(r, attrs);
+    auto got = evaluator.PointEstimate(attrs, key);
+    ASSERT_TRUE(got.ok());
+    auto it = masses.find(key);
+    if (it != masses.end()) {
+      ++from_sample;
+      EXPECT_NEAR(*got, it->second, 1e-12 * std::abs(it->second));
+    } else {
+      auto bn = evaluator.PointEstimate(attrs, key, AnswerMode::kBnOnly);
+      ASSERT_TRUE(bn.ok());
+      EXPECT_EQ(*got, *bn);
+    }
+  }
+  EXPECT_GT(from_sample, 0u);
+  EXPECT_LT(from_sample, (population_->num_rows() + 96) / 97);
 }
 
 TEST_F(Example31Test, ThemisDbEndToEnd) {

@@ -6,7 +6,8 @@
 // agree bit for bit as well. A second executor pinned to the scalar SIMD
 // backend (THEMIS_SIMD=scalar at construction) runs every query too, so
 // on SIMD-capable hosts each check is three-way:
-// simd == scalar == reference, bit for bit.
+// simd == scalar == reference, bit for bit. The same queries run again
+// over Table::Compact() of both tables, the form a model stores.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -108,34 +109,45 @@ class ExecutorDiffTest : public ::testing::Test {
 
     executor_.RegisterTable("t", t_.get());
     executor_.RegisterTable("u", u_.get());
-
-    // The scalar twin: an executor whose kernel table was pinned to the
-    // scalar backend at construction, regardless of host capability.
-    const char* prev = std::getenv("THEMIS_SIMD");
-    const std::string saved = prev ? prev : "";
-    setenv("THEMIS_SIMD", "scalar", 1);
-    scalar_executor_ = std::make_unique<Executor>();
-    if (prev) {
-      setenv("THEMIS_SIMD", saved.c_str(), 1);
-    } else {
-      unsetenv("THEMIS_SIMD");
-    }
+    scalar_executor_ = MakeScalarExecutor();
     ASSERT_EQ(scalar_executor_->stats().simd_backend, "scalar");
     scalar_executor_->RegisterTable("t", t_.get());
     scalar_executor_->RegisterTable("u", u_.get());
   }
 
+  /// The scalar twin: an executor whose kernel table was pinned to the
+  /// scalar backend at construction, regardless of host capability.
+  static std::unique_ptr<Executor> MakeScalarExecutor() {
+    const char* prev = std::getenv("THEMIS_SIMD");
+    const std::string saved = prev ? prev : "";
+    setenv("THEMIS_SIMD", "scalar", 1);
+    auto scalar = std::make_unique<Executor>();
+    if (prev) {
+      setenv("THEMIS_SIMD", saved.c_str(), 1);
+    } else {
+      unsetenv("THEMIS_SIMD");
+    }
+    return scalar;
+  }
+
   /// Runs `sql` on both paths across execution configurations and checks
   /// every answer is bitwise identical to the pool-less reference.
   void CheckQuery(const std::string& sql) {
+    CheckQuery(sql, executor_, *scalar_executor_);
+  }
+
+  /// CheckQuery over the tables registered in `executor` and its scalar
+  /// twin `scalar_executor`.
+  void CheckQuery(const std::string& sql, Executor& executor,
+                  Executor& scalar_executor) {
     auto stmt = Parse(sql);
     ASSERT_TRUE(stmt.ok()) << sql;
-    auto reference = executor_.ExecuteReference(*stmt);
+    auto reference = executor.ExecuteReference(*stmt);
     ASSERT_TRUE(reference.ok()) << sql;
-    auto vectorized = executor_.Execute(*stmt);
+    auto vectorized = executor.Execute(*stmt);
     ASSERT_TRUE(vectorized.ok()) << sql;
     ExpectBitwiseEqual(*vectorized, *reference, "sequential: " + sql);
-    auto scalar = scalar_executor_->Execute(*stmt);
+    auto scalar = scalar_executor.Execute(*stmt);
     ASSERT_TRUE(scalar.ok()) << sql;
     ExpectBitwiseEqual(*scalar, *reference, "scalar sequential: " + sql);
 
@@ -144,15 +156,15 @@ class ExecutorDiffTest : public ::testing::Test {
         const std::string what = sql + " [pool " +
                                  std::to_string(pool->num_threads()) +
                                  " shard " + std::to_string(shard_rows) + "]";
-        auto ref_pooled = executor_.ExecuteReference(*stmt, pool, shard_rows);
+        auto ref_pooled = executor.ExecuteReference(*stmt, pool, shard_rows);
         ASSERT_TRUE(ref_pooled.ok()) << what;
-        auto vec_pooled = executor_.Execute(*stmt, pool, shard_rows);
+        auto vec_pooled = executor.Execute(*stmt, pool, shard_rows);
         ASSERT_TRUE(vec_pooled.ok()) << what;
         ExpectBitwiseEqual(*vec_pooled, *ref_pooled, "pooled: " + what);
         // Exact weights: every layout agrees with the sequential answer.
         ExpectBitwiseEqual(*vec_pooled, *reference, "vs sequential: " + what);
         auto scalar_pooled =
-            scalar_executor_->Execute(*stmt, pool, shard_rows);
+            scalar_executor.Execute(*stmt, pool, shard_rows);
         ASSERT_TRUE(scalar_pooled.ok()) << what;
         ExpectBitwiseEqual(*vec_pooled, *scalar_pooled,
                            "simd vs scalar: " + what);
@@ -181,7 +193,9 @@ class ExecutorDiffTest : public ::testing::Test {
   std::unique_ptr<Executor> scalar_executor_;
 };
 
-TEST_F(ExecutorDiffTest, RandomizedQueriesBitwiseIdentical) {
+/// `num_queries` generated queries over the fixture's tables: filters x
+/// GROUP BY arities x joins (30% joins).
+std::vector<std::string> RandomQueries(size_t num_queries) {
   std::mt19937_64 rng(2026);
   const std::vector<std::string> t_filters = {
       "g1 = 'g1_2'",         "g2 <> 'g2_5'", "c IN ('c0', 'c2', 'c4')",
@@ -203,8 +217,8 @@ TEST_F(ExecutorDiffTest, RandomizedQueriesBitwiseIdentical) {
     return out;
   };
 
-  size_t checked = 0;
-  for (size_t i = 0; i < kNumQueries && !HasFailure(); ++i) {
+  std::vector<std::string> queries;
+  for (size_t i = 0; i < num_queries; ++i) {
     const bool join = i % 10 >= 7;  // 30% joins
     std::vector<std::string> filters;
     std::vector<std::string> groups;
@@ -247,7 +261,46 @@ TEST_F(ExecutorDiffTest, RandomizedQueriesBitwiseIdentical) {
         sql += groups[g] + (g + 1 < groups.size() ? ", " : "");
       }
     }
+    queries.push_back(std::move(sql));
+  }
+  return queries;
+}
+
+TEST_F(ExecutorDiffTest, RandomizedQueriesBitwiseIdentical) {
+  size_t checked = 0;
+  for (const std::string& sql : RandomQueries(kNumQueries)) {
+    if (HasFailure()) break;
     CheckQuery(sql);
+    ++checked;
+  }
+  EXPECT_EQ(checked, kNumQueries);
+}
+
+TEST_F(ExecutorDiffTest, CompactedTablesBitwiseIdentical) {
+  // Over the compacted tables every path agrees as above. The weights are
+  // multiples of 0.25, so the sums a merged row carries are exact, and
+  // every answer also equals the row tables' answer bit for bit.
+  const data::Table t = t_->Compact();
+  const data::Table u = u_->Compact();
+  ASSERT_LT(t.num_rows(), t_->num_rows());
+  ASSERT_LT(u.num_rows(), u_->num_rows());
+  Executor executor;
+  executor.RegisterTable("t", &t);
+  executor.RegisterTable("u", &u);
+  std::unique_ptr<Executor> scalar_executor = MakeScalarExecutor();
+  scalar_executor->RegisterTable("t", &t);
+  scalar_executor->RegisterTable("u", &u);
+  size_t checked = 0;
+  for (const std::string& sql : RandomQueries(kNumQueries)) {
+    if (HasFailure()) break;
+    CheckQuery(sql, executor, *scalar_executor);
+    auto stmt = Parse(sql);
+    ASSERT_TRUE(stmt.ok()) << sql;
+    auto compacted = executor.Execute(*stmt);
+    ASSERT_TRUE(compacted.ok()) << sql;
+    auto rows = executor_.ExecuteReference(*stmt);
+    ASSERT_TRUE(rows.ok()) << sql;
+    ExpectBitwiseEqual(*compacted, *rows, "compacted vs rows: " + sql);
     ++checked;
   }
   EXPECT_EQ(checked, kNumQueries);
