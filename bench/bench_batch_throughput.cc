@@ -1,8 +1,8 @@
 // Measures cross-query parallel throughput of the shared execution
 // runtime: queries/sec of a sequential Query() loop vs ThemisDb-style
 // QueryBatch on one model, at pool sizes 1/2/4/hw. The batch fans whole
-// plans across the pool while each GROUP BY plan's K BN-sample executors
-// nest on the same pool; answers must stay bitwise identical to the
+// plans across the pool while each plan's sharded scans nest on the same
+// pool; answers must stay bitwise identical to the
 // 1-thread sequential loop's — any divergence aborts.
 //
 //   ./bench_batch_throughput [rounds] [--strict]

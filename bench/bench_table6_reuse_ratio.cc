@@ -74,7 +74,7 @@ void Run() {
     workload::ReuseBaseline baseline(&*sample, &aggregates, n);
 
     // Both pair queries go through the engine's batch path: planned up
-    // front, K BN executors evaluated in parallel per GROUP BY plan.
+    // front, then executed in parallel across the pool.
     std::vector<std::string> sqls;
     for (const auto& pair : pairs) {
       sqls.push_back(PairSql(*setup.population.schema(), pair.second.first,

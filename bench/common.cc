@@ -102,8 +102,6 @@ aggregate::AggregateSet MakePaperAggregates(const data::Table& population,
 
 core::ThemisOptions BenchOptions() {
   core::ThemisOptions options;
-  options.bn_group_by_samples = 10;  // paper's K
-  options.bn_sample_rows = 2000;
   // THEMIS_INFERENCE_CACHE=0 disables cross-query marginal memoization so
   // the reuse win is measurable (answers are identical either way).
   const char* cache_env = std::getenv("THEMIS_INFERENCE_CACHE");

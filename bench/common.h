@@ -65,7 +65,8 @@ aggregate::AggregateSet MakePaperAggregates(const data::Table& population,
                                             size_t num_1d, size_t budget_2d,
                                             size_t budget_3d = 0);
 
-/// Default Themis options for benches (tree BN, paper's K = 10).
+/// Default Themis options for benches (tree BN; THEMIS_INFERENCE_CACHE=0
+/// turns the inference memo off).
 core::ThemisOptions BenchOptions();
 
 }  // namespace themis::bench

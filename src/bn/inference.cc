@@ -1,218 +1,252 @@
 #include "bn/inference.h"
 
 #include <algorithm>
-#include <set>
-
-#include "util/logging.h"
+#include <string>
 
 namespace themis::bn {
 
 namespace {
 
-/// Sparse factor: attribute list (sorted ascending) and a hash map from
-/// value tuples (in attribute order) to non-negative reals.
+/// Dense factor: a non-negative array over the cross product of `vars`'
+/// domains, row-major with the last variable varying fastest.
 struct Factor {
-  std::vector<size_t> attrs;
-  std::unordered_map<data::TupleKey, double, data::TupleKeyHash> values;
-
-  bool Contains(size_t attr) const {
-    return std::binary_search(attrs.begin(), attrs.end(), attr);
-  }
+  std::vector<size_t> vars;  // sorted ascending
+  std::vector<double> values;
 };
 
-/// Builds the factor for `node`'s CPT with evidence applied: evidence
-/// attributes are fixed to their values and dropped from the factor scope.
-Factor CptFactor(const BayesianNetwork& bn, size_t node,
-                 const Evidence& evidence) {
-  const Cpt& cpt = bn.cpt(node);
-  // Scope before evidence: parents + child, sorted.
-  std::vector<size_t> scope = cpt.parents();
-  scope.push_back(node);
-  std::sort(scope.begin(), scope.end());
+bool Contains(const Factor& f, size_t var) {
+  return std::binary_search(f.vars.begin(), f.vars.end(), var);
+}
 
-  Factor f;
-  for (size_t a : scope) {
-    if (evidence.count(a) == 0) f.attrs.push_back(a);
+/// Domain sizes of `vars`; `domain` holds every node's.
+std::vector<size_t> SizesOf(const std::vector<size_t>& vars,
+                            const std::vector<size_t>& domain) {
+  std::vector<size_t> sizes;
+  for (size_t v : vars) sizes.push_back(domain[v]);
+  return sizes;
+}
+
+/// Π sizes, saturating just past kMaxFactorCells so oversized scopes
+/// cannot overflow.
+size_t Cells(const std::vector<size_t>& sizes) {
+  size_t cells = 1;
+  for (size_t s : sizes) {
+    cells = cells > (kMaxFactorCells + 1) / s ? kMaxFactorCells + 1
+                                              : cells * s;
   }
+  return cells;
+}
 
-  // Position of each free scope attribute within the factor key.
-  for (size_t cfg = 0; cfg < cpt.num_configs(); ++cfg) {
-    const data::TupleKey parent_codes = cpt.DecodeConfig(cfg);
-    // Check evidence on parents.
-    bool parents_ok = true;
-    for (size_t i = 0; i < cpt.parents().size(); ++i) {
-      auto it = evidence.find(cpt.parents()[i]);
-      if (it != evidence.end() && it->second != parent_codes[i]) {
-        parents_ok = false;
+std::vector<size_t> RowMajorStrides(const std::vector<size_t>& sizes) {
+  std::vector<size_t> strides(sizes.size());
+  size_t stride = 1;
+  for (size_t i = sizes.size(); i-- > 0;) {
+    strides[i] = stride;
+    stride *= sizes[i];
+  }
+  return strides;
+}
+
+/// Sorted union of the factors' scopes.
+std::vector<size_t> UnionVars(const std::vector<const Factor*>& factors) {
+  std::vector<size_t> vars;
+  for (const Factor* f : factors) {
+    std::vector<size_t> merged;
+    std::set_union(vars.begin(), vars.end(), f->vars.begin(), f->vars.end(),
+                   std::back_inserter(merged));
+    vars = std::move(merged);
+  }
+  return vars;
+}
+
+/// One operand of Accumulate: `data` read at base + Σ counter[j]·strides[j]
+/// over the loop scope (stride 0 where the operand lacks a variable).
+struct StridedInput {
+  const double* data;
+  size_t base;
+  std::vector<size_t> strides;
+};
+
+/// For every cell `counter` of the cross product of `sizes`, in row-major
+/// order: out[Σ counter[j]·out_strides[j]] += Π of the inputs at
+/// `counter`. A zero out-stride sums that variable out; the fixed loop
+/// order fixes every float sum.
+void Accumulate(const std::vector<size_t>& sizes,
+                const std::vector<StridedInput>& inputs,
+                const std::vector<size_t>& out_strides, double* out) {
+  std::vector<size_t> idx;
+  for (const StridedInput& in : inputs) idx.push_back(in.base);
+  std::vector<size_t> counter(sizes.size(), 0);
+  size_t o = 0;
+  for (;;) {
+    double p = 1;
+    for (size_t f = 0; f < inputs.size(); ++f) p *= inputs[f].data[idx[f]];
+    out[o] += p;
+    // Advance the odometer, last variable fastest.
+    for (size_t j = sizes.size();;) {
+      if (j == 0) return;
+      --j;
+      if (++counter[j] < sizes[j]) {
+        for (size_t f = 0; f < inputs.size(); ++f) {
+          idx[f] += inputs[f].strides[j];
+        }
+        o += out_strides[j];
         break;
       }
-    }
-    if (!parents_ok) continue;
-
-    auto child_ev = evidence.find(node);
-    const size_t j_begin =
-        child_ev == evidence.end() ? 0 : static_cast<size_t>(child_ev->second);
-    const size_t j_end = child_ev == evidence.end()
-                             ? cpt.child_size()
-                             : static_cast<size_t>(child_ev->second) + 1;
-    for (size_t j = j_begin; j < j_end; ++j) {
-      const double p = cpt.Prob(cfg, static_cast<data::ValueCode>(j));
-      if (p == 0.0) continue;
-      data::TupleKey key;
-      key.reserve(f.attrs.size());
-      for (size_t a : f.attrs) {
-        if (a == node) {
-          key.push_back(static_cast<data::ValueCode>(j));
-        } else {
-          // a is a free parent; find its position in parents().
-          auto pit = std::find(cpt.parents().begin(), cpt.parents().end(), a);
-          key.push_back(
-              parent_codes[static_cast<size_t>(pit - cpt.parents().begin())]);
-        }
+      counter[j] = 0;
+      for (size_t f = 0; f < inputs.size(); ++f) {
+        idx[f] -= (sizes[j] - 1) * inputs[f].strides[j];
       }
-      f.values[key] += p;
+      o -= (sizes[j] - 1) * out_strides[j];
     }
   }
+}
+
+/// The factor of `node`'s CPT with the evidence applied: evidence
+/// attributes are fixed to their codes and leave the scope.
+Factor CptFactor(const BayesianNetwork& bn, size_t node,
+                 const Evidence& evidence, const std::vector<size_t>& domain) {
+  const Cpt& cpt = bn.cpt(node);
+  // The CPT is laid out [config][child], the config mixed-radix over
+  // parents() with the first parent most significant.
+  std::vector<std::pair<size_t, size_t>> axes;  // (attribute, stride)
+  size_t stride = cpt.child_size();
+  for (size_t i = cpt.parents().size(); i-- > 0;) {
+    axes.emplace_back(cpt.parents()[i], stride);
+    stride *= cpt.parent_sizes()[i];
+  }
+  axes.emplace_back(node, 1);
+  std::sort(axes.begin(), axes.end());
+
+  Factor f;
+  StridedInput in{cpt.flat().data(), 0, {}};
+  for (const auto& [attr, axis_stride] : axes) {
+    auto ev = evidence.find(attr);
+    if (ev != evidence.end()) {
+      in.base += static_cast<size_t>(ev->second) * axis_stride;
+    } else {
+      f.vars.push_back(attr);
+      in.strides.push_back(axis_stride);
+    }
+  }
+  const std::vector<size_t> sizes = SizesOf(f.vars, domain);
+  f.values.assign(Cells(sizes), 0.0);
+  Accumulate(sizes, {in}, RowMajorStrides(sizes), f.values.data());
   return f;
 }
 
-/// Product of two sparse factors (hash join on the shared attributes).
-Factor Multiply(const Factor& a, const Factor& b) {
-  // Merged scope, sorted.
+/// Product of `factors` with `drop` summed out (SIZE_MAX: none). Fails
+/// with kResourceExhausted, before allocating, when the product's scope
+/// has more than kMaxFactorCells cells.
+Result<Factor> Combine(const std::vector<const Factor*>& factors, size_t drop,
+                       const std::vector<size_t>& domain) {
+  const std::vector<size_t> vars = UnionVars(factors);
+  const std::vector<size_t> sizes = SizesOf(vars, domain);
+  if (Cells(sizes) > kMaxFactorCells) {
+    return Status::ResourceExhausted(
+        "variable elimination needs a factor of more than " +
+        std::to_string(kMaxFactorCells) + " cells");
+  }
+  std::vector<StridedInput> inputs;
+  for (const Factor* f : factors) {
+    const std::vector<size_t> own = RowMajorStrides(SizesOf(f->vars, domain));
+    StridedInput in{f->values.data(), 0, std::vector<size_t>(vars.size(), 0)};
+    for (size_t i = 0; i < f->vars.size(); ++i) {
+      in.strides[static_cast<size_t>(
+          std::lower_bound(vars.begin(), vars.end(), f->vars[i]) -
+          vars.begin())] = own[i];
+    }
+    inputs.push_back(std::move(in));
+  }
   Factor out;
-  std::set_union(a.attrs.begin(), a.attrs.end(), b.attrs.begin(),
-                 b.attrs.end(), std::back_inserter(out.attrs));
-
-  // Positions of shared attrs in a and b; positions of each factor's attrs
-  // in the merged key.
-  std::vector<size_t> shared;
-  std::set_intersection(a.attrs.begin(), a.attrs.end(), b.attrs.begin(),
-                        b.attrs.end(), std::back_inserter(shared));
-  auto positions_in = [](const std::vector<size_t>& subset,
-                         const std::vector<size_t>& full) {
-    std::vector<size_t> pos;
-    pos.reserve(subset.size());
-    for (size_t s : subset) {
-      pos.push_back(static_cast<size_t>(
-          std::lower_bound(full.begin(), full.end(), s) - full.begin()));
-    }
-    return pos;
-  };
-  const std::vector<size_t> shared_in_a = positions_in(shared, a.attrs);
-  const std::vector<size_t> shared_in_b = positions_in(shared, b.attrs);
-  const std::vector<size_t> a_in_out = positions_in(a.attrs, out.attrs);
-  const std::vector<size_t> b_in_out = positions_in(b.attrs, out.attrs);
-
-  // Index b by its shared-attribute sub-key.
-  std::unordered_map<data::TupleKey,
-                     std::vector<const std::pair<const data::TupleKey, double>*>,
-                     data::TupleKeyHash>
-      b_index;
-  for (const auto& entry : b.values) {
-    data::TupleKey sub(shared_in_b.size());
-    for (size_t i = 0; i < shared_in_b.size(); ++i) {
-      sub[i] = entry.first[shared_in_b[i]];
-    }
-    b_index[sub].push_back(&entry);
+  std::copy_if(vars.begin(), vars.end(), std::back_inserter(out.vars),
+               [drop](size_t v) { return v != drop; });
+  const std::vector<size_t> out_sizes = SizesOf(out.vars, domain);
+  const std::vector<size_t> own = RowMajorStrides(out_sizes);
+  std::vector<size_t> out_strides(vars.size(), 0);
+  for (size_t j = 0, o = 0; j < vars.size(); ++j) {
+    if (vars[j] != drop) out_strides[j] = own[o++];
   }
-
-  for (const auto& [akey, aval] : a.values) {
-    data::TupleKey sub(shared_in_a.size());
-    for (size_t i = 0; i < shared_in_a.size(); ++i) sub[i] = akey[shared_in_a[i]];
-    auto it = b_index.find(sub);
-    if (it == b_index.end()) continue;
-    for (const auto* bentry : it->second) {
-      data::TupleKey key(out.attrs.size());
-      for (size_t i = 0; i < a.attrs.size(); ++i) key[a_in_out[i]] = akey[i];
-      for (size_t i = 0; i < b.attrs.size(); ++i) {
-        key[b_in_out[i]] = bentry->first[i];
-      }
-      out.values[key] += aval * bentry->second;
-    }
-  }
+  out.values.assign(Cells(out_sizes), 0.0);
+  Accumulate(sizes, inputs, out_strides, out.values.data());
   return out;
 }
 
-/// Sums attribute `attr` out of `f`.
-Factor SumOut(const Factor& f, size_t attr) {
-  Factor out;
-  size_t pos = 0;
-  for (size_t i = 0; i < f.attrs.size(); ++i) {
-    if (f.attrs[i] == attr) {
-      pos = i;
-    } else {
-      out.attrs.push_back(f.attrs[i]);
-    }
+/// Eliminates every variable but the targets and the evidence, returning
+/// the unnormalized factor over `sorted_targets`.
+Result<Factor> Eliminate(const BayesianNetwork& bn,
+                         const std::vector<size_t>& sorted_targets,
+                         const Evidence& evidence) {
+  const size_t n = bn.num_nodes();
+  std::vector<size_t> domain(n);
+  for (size_t v = 0; v < n; ++v) domain[v] = bn.cpt(v).child_size();
+  // A node that is no ancestor of a target or of the evidence sums out to
+  // one (its CPT rows are distributions), so only ancestors take part.
+  std::vector<char> relevant(n, 0);
+  std::vector<size_t> stack = sorted_targets;
+  for (const auto& entry : evidence) stack.push_back(entry.first);
+  while (!stack.empty()) {
+    const size_t v = stack.back();
+    stack.pop_back();
+    if (relevant[v]) continue;
+    relevant[v] = 1;
+    for (size_t p : bn.cpt(v).parents()) stack.push_back(p);
   }
-  for (const auto& [key, v] : f.values) {
-    data::TupleKey sub;
-    sub.reserve(key.size() - 1);
-    for (size_t i = 0; i < key.size(); ++i) {
-      if (i != pos) sub.push_back(key[i]);
-    }
-    out.values[sub] += v;
-  }
-  return out;
-}
-
-/// Runs variable elimination: multiplies/eliminates until only the target
-/// attributes remain, returning the single resulting factor.
-Factor Eliminate(const BayesianNetwork& bn,
-                 const std::vector<size_t>& targets,
-                 const Evidence& evidence) {
   std::vector<Factor> factors;
-  factors.reserve(bn.num_nodes());
-  for (size_t v = 0; v < bn.num_nodes(); ++v) {
-    factors.push_back(CptFactor(bn, v, evidence));
+  std::vector<size_t> to_eliminate;
+  for (size_t v = 0; v < n; ++v) {
+    if (!relevant[v]) continue;
+    factors.push_back(CptFactor(bn, v, evidence, domain));
+    if (evidence.count(v) == 0 &&
+        !std::binary_search(sorted_targets.begin(), sorted_targets.end(),
+                            v)) {
+      to_eliminate.push_back(v);
+    }
   }
 
-  std::set<size_t> keep(targets.begin(), targets.end());
-  std::set<size_t> to_eliminate;
-  for (size_t v = 0; v < bn.num_nodes(); ++v) {
-    if (keep.count(v) == 0 && evidence.count(v) == 0) to_eliminate.insert(v);
-  }
-
+  auto family_of = [&factors](size_t var) {
+    std::vector<const Factor*> family;
+    for (const Factor& f : factors) {
+      if (Contains(f, var)) family.push_back(&f);
+    }
+    return family;
+  };
   while (!to_eliminate.empty()) {
-    // Min-work heuristic: eliminate the variable whose combined factor has
-    // the fewest entries.
-    size_t best_var = 0;
-    size_t best_cost = SIZE_MAX;
-    for (size_t var : to_eliminate) {
-      size_t cost = 0;
-      for (const Factor& f : factors) {
-        if (f.Contains(var)) cost += f.values.size();
-      }
-      if (cost < best_cost) {
-        best_cost = cost;
-        best_var = var;
+    // Smallest product scope first; ties to the lower index.
+    size_t best = 0;
+    size_t best_cells = SIZE_MAX;
+    for (size_t i = 0; i < to_eliminate.size(); ++i) {
+      const size_t cells =
+          Cells(SizesOf(UnionVars(family_of(to_eliminate[i])), domain));
+      if (cells < best_cells) {
+        best_cells = cells;
+        best = i;
       }
     }
-
-    std::vector<Factor> remaining;
-    Factor combined;
-    bool have = false;
-    for (Factor& f : factors) {
-      if (f.Contains(best_var)) {
-        if (!have) {
-          combined = std::move(f);
-          have = true;
-        } else {
-          combined = Multiply(combined, f);
-        }
-      } else {
-        remaining.push_back(std::move(f));
-      }
-    }
-    if (have) remaining.push_back(SumOut(combined, best_var));
-    factors = std::move(remaining);
-    to_eliminate.erase(best_var);
+    const size_t var = to_eliminate[best];
+    to_eliminate.erase(to_eliminate.begin() + static_cast<ptrdiff_t>(best));
+    THEMIS_ASSIGN_OR_RETURN(Factor summed,
+                            Combine(family_of(var), var, domain));
+    std::erase_if(factors, [var](const Factor& f) { return Contains(f, var); });
+    factors.push_back(std::move(summed));
   }
+  // Every remaining scope lies within the targets, and each target's own
+  // CPT factor keeps it, so the product spans exactly the targets.
+  std::vector<const Factor*> all;
+  for (const Factor& f : factors) all.push_back(&f);
+  return Combine(all, SIZE_MAX, domain);
+}
 
-  // Multiply everything that remains (scopes ⊆ targets, possibly empty).
-  Factor result;
-  result.values[{}] = 1.0;
-  for (const Factor& f : factors) result = Multiply(result, f);
-  return result;
+Status ValidateEvidence(const BayesianNetwork& bn, const Evidence& evidence) {
+  for (const auto& [attr, code] : evidence) {
+    if (attr >= bn.num_nodes()) {
+      return Status::InvalidArgument("evidence attribute out of range");
+    }
+    if (code < 0 || static_cast<size_t>(code) >= bn.cpt(attr).child_size()) {
+      return Status::InvalidArgument("evidence value out of domain");
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -220,32 +254,16 @@ Factor Eliminate(const BayesianNetwork& bn,
 Result<double> VariableElimination::Probability(
     const Evidence& evidence) const {
   if (evidence.empty()) return 1.0;
-  for (const auto& [attr, code] : evidence) {
-    if (attr >= network_->num_nodes()) {
-      return Status::InvalidArgument("evidence attribute out of range");
-    }
-    if (code < 0 ||
-        static_cast<size_t>(code) >=
-            network_->schema()->domain(attr).size()) {
-      return Status::InvalidArgument("evidence value out of domain");
-    }
-  }
-  Factor f = Eliminate(*network_, {}, evidence);
-  double p = 0;
-  for (const auto& [key, v] : f.values) p += v;
-  return p;
+  THEMIS_RETURN_IF_ERROR(ValidateEvidence(*network_, evidence));
+  THEMIS_ASSIGN_OR_RETURN(Factor f, Eliminate(*network_, {}, evidence));
+  return f.values[0];
 }
 
-Result<stats::FreqTable> VariableElimination::Marginal(
-    const std::vector<size_t>& targets) const {
-  return Marginal(targets, Evidence{});
-}
-
-Result<stats::FreqTable> VariableElimination::Marginal(
-    const std::vector<size_t>& targets, const Evidence& evidence) const {
-  if (targets.empty()) {
-    return Status::InvalidArgument("Marginal requires at least one target");
-  }
+Result<data::Table> VariableElimination::JointTable(
+    std::vector<size_t> targets, double scale,
+    const Evidence& evidence) const {
+  std::sort(targets.begin(), targets.end());
+  targets.erase(std::unique(targets.begin(), targets.end()), targets.end());
   for (size_t t : targets) {
     if (t >= network_->num_nodes()) {
       return Status::InvalidArgument("target attribute out of range");
@@ -254,31 +272,44 @@ Result<stats::FreqTable> VariableElimination::Marginal(
       return Status::InvalidArgument("target overlaps evidence");
     }
   }
-  Factor f = Eliminate(*network_, targets, evidence);
-
-  // Reorder the factor keys (sorted attrs) into the requested target order
-  // and normalize.
-  std::vector<size_t> sorted = targets;
-  std::sort(sorted.begin(), sorted.end());
-  std::vector<size_t> pos(targets.size());
-  for (size_t i = 0; i < targets.size(); ++i) {
-    pos[i] = static_cast<size_t>(
-        std::lower_bound(sorted.begin(), sorted.end(), targets[i]) -
-        sorted.begin());
-  }
+  THEMIS_RETURN_IF_ERROR(ValidateEvidence(*network_, evidence));
+  THEMIS_ASSIGN_OR_RETURN(Factor f, Eliminate(*network_, targets, evidence));
   double total = 0;
-  for (const auto& [key, v] : f.values) total += v;
+  for (double v : f.values) total += v;
   if (total <= 0) {
     return Status::FailedPrecondition(
         "evidence has zero probability under the network");
   }
-  stats::FreqTable out(targets);
-  for (const auto& [key, v] : f.values) {
-    data::TupleKey reordered(targets.size());
-    for (size_t i = 0; i < targets.size(); ++i) reordered[i] = key[pos[i]];
-    out.Add(reordered, v / total);
+  data::Table table(network_->schema(),
+                    f.values.size() -
+                        std::count(f.values.begin(), f.values.end(), 0.0),
+                    0.0);
+  std::vector<data::ValueCode> cell(targets.size(), 0);
+  size_t row = 0;
+  for (double v : f.values) {
+    if (v != 0.0) {
+      for (size_t i = 0; i < cell.size(); ++i) {
+        table.Set(row, targets[i], cell[i]);
+      }
+      table.set_weight(row++, scale * (v / total));
+    }
+    for (size_t j = cell.size(); j-- > 0;) {
+      const size_t size = network_->cpt(targets[j]).child_size();
+      if (static_cast<size_t>(++cell[j]) < size) break;
+      cell[j] = 0;
+    }
   }
-  return out;
+  return table;
+}
+
+Result<stats::FreqTable> VariableElimination::Marginal(
+    const std::vector<size_t>& targets, const Evidence& evidence) const {
+  if (targets.empty()) {
+    return Status::InvalidArgument("Marginal requires at least one target");
+  }
+  THEMIS_ASSIGN_OR_RETURN(data::Table table,
+                          JointTable(targets, 1.0, evidence));
+  return stats::FreqTable::FromTable(table, targets);
 }
 
 }  // namespace themis::bn

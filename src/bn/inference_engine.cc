@@ -1,6 +1,7 @@
 #include "bn/inference_engine.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <utility>
 
 namespace themis::bn {
@@ -26,49 +27,20 @@ std::string ProbabilityKey(const Evidence& evidence) {
   return key;
 }
 
-std::string MarginalKey(const std::vector<size_t>& sorted_targets,
-                        const Evidence& evidence) {
-  std::string key = "M|";
-  for (size_t t : sorted_targets) {
-    key.append(std::to_string(t));
+std::string TableKey(const std::vector<size_t>& sorted_attrs,
+                     double population_size) {
+  std::string key = "T|";
+  for (size_t a : sorted_attrs) {
+    key.append(std::to_string(a));
     key.push_back(',');
   }
-  key.push_back('|');
-  AppendEvidence(evidence, &key);
+  char scale[32];
+  std::snprintf(scale, sizeof(scale), "|%a", population_size);  // exact
+  key.append(scale);
   return key;
 }
 
-/// Reorders a table computed over sorted targets into the requested
-/// target order (values untouched, keys permuted).
-stats::FreqTable ReorderTo(const stats::FreqTable& table,
-                           const std::vector<size_t>& targets) {
-  if (table.attrs() == targets) return table;
-  std::vector<size_t> pos(targets.size());
-  for (size_t i = 0; i < targets.size(); ++i) {
-    pos[i] = static_cast<size_t>(
-        std::find(table.attrs().begin(), table.attrs().end(), targets[i]) -
-        table.attrs().begin());
-  }
-  stats::FreqTable out(targets);
-  for (const auto& [key, mass] : table.entries()) {
-    data::TupleKey reordered(targets.size());
-    for (size_t i = 0; i < targets.size(); ++i) reordered[i] = key[pos[i]];
-    out.Add(reordered, mass);
-  }
-  return out;
-}
-
 }  // namespace
-
-size_t ApproxMarginalBytes(const stats::FreqTable& table) {
-  // Per group: the TupleKey codes, the mass double, and unordered_map node
-  // overhead (bucket pointer + node header, ~48 bytes on 64-bit).
-  constexpr size_t kNodeOverhead = 48;
-  return sizeof(stats::FreqTable) +
-         table.num_groups() *
-             (table.attrs().size() * sizeof(data::ValueCode) +
-              sizeof(double) + kNodeOverhead);
-}
 
 InferenceEngine::InferenceEngine(const BayesianNetwork* network)
     : InferenceEngine(network, Options()) {}
@@ -84,11 +56,15 @@ InferenceEngine::InferenceEngine(const BayesianNetwork* network,
 
 size_t InferenceEngine::EntryCost(const CacheValue& value) const {
   if (!cost_aware_) return 1;
-  if (value.marginal == nullptr) {
-    // Scalar probability: key string + value + list/map overhead.
-    return sizeof(CacheValue) + 64;
+  if (const auto* table =
+          std::get_if<std::shared_ptr<const data::Table>>(&value)) {
+    // The table's code columns and weights.
+    return sizeof(CacheValue) + sizeof(data::Table) +
+           (*table)->num_rows() *
+               data::Table::ScanBytesPerRow((*table)->num_attributes());
   }
-  return sizeof(CacheValue) + ApproxMarginalBytes(*value.marginal);
+  // Scalar probability: key string + value + list/map overhead.
+  return sizeof(CacheValue) + 64;
 }
 
 bool InferenceEngine::cache_enabled() const {
@@ -133,13 +109,13 @@ Result<double> InferenceEngine::Probability(const Evidence& evidence) const {
     std::lock_guard<std::mutex> lock(mu_);
     if (auto cached = cache_.Get(key)) {
       ++hits_;
-      return cached->probability;
+      return std::get<double>(*cached);
     }
     ++misses_;
   }
   THEMIS_ASSIGN_OR_RETURN(double p, ve_.Probability(evidence));
   if (enabled) {
-    CacheValue value{p, nullptr};
+    CacheValue value = p;
     const size_t cost = EntryCost(value);
     std::lock_guard<std::mutex> lock(mu_);
     cache_.Put(key, std::move(value), cost);
@@ -147,46 +123,33 @@ Result<double> InferenceEngine::Probability(const Evidence& evidence) const {
   return p;
 }
 
-Result<stats::FreqTable> InferenceEngine::Marginal(
-    const std::vector<size_t>& targets) const {
-  return Marginal(targets, Evidence{});
-}
-
-Result<stats::FreqTable> InferenceEngine::Marginal(
-    const std::vector<size_t>& targets, const Evidence& evidence) const {
-  std::vector<size_t> sorted = targets;
+Result<std::shared_ptr<const data::Table>> InferenceEngine::MarginalTable(
+    const std::vector<size_t>& attrs, double population_size) const {
+  std::vector<size_t> sorted = attrs;
   std::sort(sorted.begin(), sorted.end());
+  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
 
   const bool enabled = cache_enabled();
   std::string key;
   if (enabled) {
-    key = MarginalKey(sorted, evidence);
-    std::shared_ptr<const stats::FreqTable> hit;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (auto cached = cache_.Get(key)) {
-        ++hits_;
-        hit = cached->marginal;
-      } else {
-        ++misses_;
-      }
+    key = TableKey(sorted, population_size);
+    std::lock_guard<std::mutex> lock(mu_);
+    if (auto cached = cache_.Get(key)) {
+      ++hits_;
+      return std::get<std::shared_ptr<const data::Table>>(*cached);
     }
-    // Reorder outside the lock: the entry is immutable once published.
-    if (hit != nullptr) return ReorderTo(*hit, targets);
+    ++misses_;
   }
-  // Compute over the canonical order even when the cache is off so both
-  // configurations take the identical arithmetic path.
-  THEMIS_ASSIGN_OR_RETURN(stats::FreqTable table,
-                          ve_.Marginal(sorted, evidence));
-  if (!enabled) return ReorderTo(table, targets);
-  auto shared = std::make_shared<const stats::FreqTable>(std::move(table));
-  {
-    CacheValue value{0.0, shared};
+  THEMIS_ASSIGN_OR_RETURN(data::Table joint,
+                          ve_.JointTable(sorted, population_size));
+  auto table = std::make_shared<const data::Table>(std::move(joint));
+  if (enabled) {
+    CacheValue value = table;
     const size_t cost = EntryCost(value);
     std::lock_guard<std::mutex> lock(mu_);
     cache_.Put(key, std::move(value), cost);
   }
-  return ReorderTo(*shared, targets);
+  return table;
 }
 
 }  // namespace themis::bn

@@ -5,9 +5,11 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "bn/inference.h"
+#include "data/table.h"
 #include "util/lru_cache.h"
 
 namespace themis::bn {
@@ -33,20 +35,13 @@ struct InferenceCacheStats {
   }
 };
 
-/// Approximate in-memory footprint of a memoized marginal: key tuples,
-/// mass doubles, and hash-node overhead per group. The admission cost of
-/// marginal entries under a byte budget.
-size_t ApproxMarginalBytes(const stats::FreqTable& table);
-
 /// The unified inference entry point: wraps VariableElimination with a
-/// thread-safe LRU memo table of computed probabilities and marginals,
-/// keyed by (sorted target set, canonicalized evidence). Every
-/// query-path caller goes through an engine, so repeated and batched
-/// queries reuse prior computation across queries — the serving-side
-/// analogue of the paper's Table 6 reuse experiment.
-///
-/// Marginals are always *computed* over the sorted target set and
-/// reordered to the requested order on the way out, so answers are
+/// thread-safe LRU memo table of point probabilities (keyed by the
+/// canonicalized evidence) and marginal tables (keyed by the sorted
+/// attribute set). Every query-path caller goes through an engine, so
+/// repeated and batched queries reuse prior computation across queries —
+/// the serving-side analogue of the paper's Table 6 reuse experiment.
+/// Both kinds are computed from the canonical form alone, so answers are
 /// bitwise identical whether the cache is enabled or not.
 class InferenceEngine {
  public:
@@ -56,7 +51,7 @@ class InferenceEngine {
     size_t cache_capacity = 4096;
     /// When positive, overrides `cache_capacity` with a cost-aware bound:
     /// entries are weighted by their approximate bytes (marginal tables by
-    /// ApproxMarginalBytes, probabilities by a small constant), so one
+    /// their columns and weights, probabilities by a small constant), so one
     /// huge marginal cannot silently displace thousands of cheap entries
     /// — and is rejected outright if it alone exceeds the budget. Each
     /// engine serves exactly one model; a core::Catalog splits its
@@ -75,11 +70,12 @@ class InferenceEngine {
   /// listed values on the listed attributes. Memoized.
   Result<double> Probability(const Evidence& evidence) const;
 
-  /// Normalized joint over `targets`, optionally given `evidence`.
-  /// Memoized on the canonical (sorted-target) form.
-  Result<stats::FreqTable> Marginal(const std::vector<size_t>& targets) const;
-  Result<stats::FreqTable> Marginal(const std::vector<size_t>& targets,
-                                    const Evidence& evidence) const;
+  /// VariableElimination::JointTable(attrs, population_size): the joint
+  /// over `attrs` as a table of one row per nonzero cell weighing
+  /// population_size · Pr(cell). Memoized on the sorted attribute set and
+  /// the scale, so the cached and fresh tables are bitwise equal.
+  Result<std::shared_ptr<const data::Table>> MarginalTable(
+      const std::vector<size_t>& attrs, double population_size) const;
 
   bool cache_enabled() const;
   void set_cache_enabled(bool enabled);
@@ -96,10 +92,9 @@ class InferenceEngine {
   InferenceCacheStats cache_stats() const;
 
  private:
-  struct CacheValue {
-    double probability = 0;
-    std::shared_ptr<const stats::FreqTable> marginal;  // null for P-entries
-  };
+  /// A probability or a marginal table.
+  using CacheValue =
+      std::variant<double, std::shared_ptr<const data::Table>>;
 
   /// Admission cost of one cache entry under the active policy.
   size_t EntryCost(const CacheValue& value) const;

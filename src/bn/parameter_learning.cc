@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <set>
 
-#include "bn/inference_engine.h"
+#include "bn/inference.h"
 #include "util/logging.h"
 
 namespace themis::bn {
@@ -105,12 +105,7 @@ Status LearnParameters(BayesianNetwork& network, const data::Table* sample,
     // coefficients of the linear constraints (Sec 5.2).
     stats::FreqTable parent_joint;
     if (!cpt.parents().empty()) {
-      // The network mutates as each factor is solved, so memoizing across
-      // nodes would serve stale marginals — run the engine uncached.
-      InferenceEngine engine(&network,
-                            InferenceEngine::Options{/*enable_cache=*/false,
-                                                     /*cache_capacity=*/0});
-      auto pj = engine.Marginal(cpt.parents());
+      auto pj = VariableElimination(&network).Marginal(cpt.parents());
       if (!pj.ok()) return pj.status();
       parent_joint = std::move(pj).value();
     }

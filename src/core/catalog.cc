@@ -137,8 +137,7 @@ Status Catalog::Build(const std::string& name) {
         std::max<size_t>(1, effective.result_memo_bytes / n);
   }
   auto model = ThemisModel::Build(relation.pending_sample->Clone(),
-                                  *relation.pending_aggregates, effective,
-                                  pool_);
+                                  *relation.pending_aggregates, effective);
   if (!model.ok()) return model.status();
   const BuildStats& stats = model->build_stats();
   THEMIS_LOG(Info) << "built relation '" << name << "': "
@@ -149,11 +148,9 @@ Status Catalog::Build(const std::string& name) {
                    << ", max violation " << stats.reweight_max_violation
                    << "), BN structure " << stats.bn_structure_seconds
                    << " s, parameters " << stats.bn_parameter_seconds
-                   << " s, generate " << stats.generate_seconds
                    << " s, compact " << stats.compact_seconds << " s (sample "
                    << stats.sample_rows << " -> " << stats.sample_classes
-                   << " rows, BN samples " << stats.bn_rows << " -> "
-                   << stats.bn_classes << " rows)";
+                   << " rows)";
   relation.model = std::make_unique<ThemisModel>(std::move(model).value());
   relation.evaluator = std::make_unique<HybridEvaluator>(
       relation.model.get(), relation.table_name, pool_, name);

@@ -27,12 +27,14 @@ struct RelationStats {
   /// Plan-cache counters (normalized-SQL -> logical plan).
   size_t plan_cache_hits = 0;
   size_t plan_cache_misses = 0;
-  /// BN marginal/probability memo; zero-valued when the model has no BN.
+  /// BN probability and marginal-table memo; zero-valued when the model
+  /// has no BN.
   bn::InferenceCacheStats inference_cache;
   /// Plan->result memo.
   ResultMemoStats result_memo;
-  /// Scan-path counters summed over the relation's sample and BN-sample
-  /// executors (rows scanned/passed, groups emitted, join build/probe).
+  /// Scan-path counters summed over the relation's sample and BN
+  /// marginal-table scans (rows scanned/passed, groups emitted, join
+  /// build/probe).
   sql::ExecutorStats executor;
 };
 

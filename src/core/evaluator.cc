@@ -1,10 +1,13 @@
 #include "core/evaluator.h"
 
 #include <algorithm>
+#include <cmath>
+#include <numbers>
 #include <set>
 #include <utility>
 
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace themis::core {
 
@@ -32,12 +35,6 @@ HybridEvaluator::HybridEvaluator(const ThemisModel* model,
   THEMIS_CHECK(model_ != nullptr);
   if (relation_.empty()) relation_ = table_name_;
   sample_executor_.RegisterTable(table_name_, &model_->reweighted_sample());
-  bn_executors_.reserve(model_->bn_samples().size());
-  for (const data::Table& bn_sample : model_->bn_samples()) {
-    sql::Executor exec;
-    exec.RegisterTable(table_name_, &bn_sample);
-    bn_executors_.push_back(std::move(exec));
-  }
   const ThemisOptions& options = model_->options();
   if (model_->network() != nullptr) {
     bn::InferenceEngine::Options engine_options;
@@ -47,9 +44,8 @@ HybridEvaluator::HybridEvaluator(const ThemisModel* model,
     engine_ = std::make_unique<bn::InferenceEngine>(model_->network(),
                                                     engine_options);
   }
-  const bool has_bn = model_->network() != nullptr && !bn_executors_.empty();
   planner_ = std::make_unique<QueryPlanner>(
-      model_->reweighted_sample().schema(), has_bn,
+      model_->reweighted_sample().schema(), engine_ != nullptr,
       options.plan_cache_capacity, relation_);
   pool_ = util::ResolvePool(pool, options.num_threads, owned_pool_);
   // The environment override resolves once here so the shard layout
@@ -129,55 +125,85 @@ Result<double> HybridEvaluator::PointEstimate(
   return Status::Internal("unreachable");
 }
 
+namespace {
+
+/// Attribute indices `stmt` reads through FROM entry `t`: selected,
+/// aggregated, filtered, joined and grouped columns qualified by its alias
+/// or not qualified at all. Names the schema lacks are skipped; binding
+/// the statement reports them.
+std::vector<size_t> ReferencedAttributes(const sql::SelectStatement& stmt,
+                                         size_t t,
+                                         const data::Schema& schema) {
+  std::vector<size_t> attrs;
+  auto add = [&](const sql::ColumnRef& ref) {
+    if (!ref.table_alias.empty() &&
+        !EqualsIgnoreCase(ref.table_alias, stmt.tables[t].alias)) {
+      return;
+    }
+    auto attr = schema.AttributeIndex(ref.column);
+    if (attr.ok()) attrs.push_back(*attr);
+  };
+  for (const sql::SelectItem& item : stmt.items) {
+    if (item.func != sql::AggFunc::kCount) add(item.column);
+  }
+  for (const sql::Predicate& pred : stmt.where) {
+    add(pred.lhs);
+    if (pred.is_join) add(pred.rhs_column);
+  }
+  for (const sql::ColumnRef& ref : stmt.group_by) add(ref);
+  return attrs;
+}
+
+}  // namespace
+
 Result<sql::QueryResult> HybridEvaluator::BnGroupBy(
     const sql::SelectStatement& stmt, const util::CancelToken* cancel,
     obs::TraceContext* trace) const {
-  if (bn_executors_.empty()) {
-    return Status::FailedPrecondition("model has no BN samples");
+  const double population = model_->population_size();
+  // Each FROM entry of the relation scans the marginal table of the
+  // columns read through it; a self-join's second entry is renamed to a
+  // name no SQL text can spell, so each alias binds its own table. A
+  // trailing COUNT(*) carries each group's mass for the consensus test.
+  sql::SelectStatement counted = stmt;
+  counted.items.push_back({sql::AggFunc::kCount, {}, ""});
+  sql::Executor executor;
+  std::vector<std::shared_ptr<const data::Table>> tables;
+  for (size_t t = 0; t < counted.tables.size(); ++t) {
+    sql::TableRef& ref = counted.tables[t];
+    if (ref.name != table_name_) continue;  // binding reports it
+    THEMIS_ASSIGN_OR_RETURN(
+        std::shared_ptr<const data::Table> table,
+        engine_->MarginalTable(
+            ReferencedAttributes(stmt, t, *model_->network()->schema()),
+            population));
+    if (t > 0) ref.name = table_name_ + '\x1f' + std::to_string(t);
+    executor.RegisterTable(ref.name, table.get());
+    tables.push_back(std::move(table));
   }
-  // Execute on every generated sample; keep groups appearing in all K
-  // answers and average the aggregate values (Sec 4.2.4). The K executors
-  // are nested pool tasks; each may further shard its scan on the same
-  // pool without oversubscribing. The cancel token is shared: each
-  // executor polls it on entry and per shard, so a fired token fails the
-  // whole fan-out at the lowest index that observed it.
-  const size_t k_total = bn_executors_.size();
-  std::vector<Result<sql::QueryResult>> results(
-      k_total, Result<sql::QueryResult>(Status::Internal("not executed")));
-  pool_->ParallelFor(0, k_total, [&](size_t k) {
-    results[k] =
-        bn_executors_[k].Execute(stmt, pool_, shard_rows_, cancel, trace);
-  });
+  auto result = executor.Execute(counted, pool_, shard_rows_, cancel, trace);
+  {
+    std::lock_guard<std::mutex> lock(bn_stats_mu_);
+    bn_stats_ += executor.stats();
+  }
+  if (!result.ok()) return result.status();
 
-  std::map<std::vector<std::string>, std::pair<std::vector<double>, size_t>>
-      merged;
-  sql::QueryResult shape;
-  for (size_t k = 0; k < k_total; ++k) {
-    if (!results[k].ok()) return results[k].status();
-    const sql::QueryResult& result = *results[k];
-    if (k == 0) {
-      shape.group_names = result.group_names;
-      shape.value_names = result.value_names;
-    }
-    for (const sql::ResultRow& row : result.rows) {
-      auto [it, inserted] = merged.try_emplace(
-          row.group, std::vector<double>(row.values.size(), 0.0), 0u);
-      for (size_t i = 0; i < row.values.size(); ++i) {
-        it->second.first[i] += row.values[i];
-      }
-      it->second.second += 1;
+  // Consensus groups: presence probability ≥ ½ in one draw of n rows,
+  // i.e. an expected count COUNT·(n/N)^r ≥ ln 2.
+  const double draw_share =
+      std::pow(static_cast<double>(model_->build_stats().sample_rows) /
+                   population,
+               static_cast<double>(stmt.tables.size()));
+  std::vector<sql::ResultRow> kept;
+  for (sql::ResultRow& row : result->rows) {
+    const double count = row.values.back();
+    row.values.pop_back();
+    if (stmt.group_by.empty() || count * draw_share >= std::numbers::ln2) {
+      kept.push_back(std::move(row));
     }
   }
-  sql::QueryResult out = shape;
-  for (auto& [group, acc] : merged) {
-    if (acc.second != k_total) continue;  // phantom-group suppression
-    sql::ResultRow row;
-    row.group = group;
-    row.values = acc.first;
-    for (double& v : row.values) v /= static_cast<double>(k_total);
-    out.rows.push_back(std::move(row));
-  }
-  return out;
+  result->rows = std::move(kept);
+  result->value_names.pop_back();
+  return result;
 }
 
 Result<QueryPlanPtr> HybridEvaluator::Plan(const std::string& sql) const {
@@ -187,18 +213,16 @@ Result<QueryPlanPtr> HybridEvaluator::Plan(const std::string& sql) const {
 Result<sql::QueryResult> HybridEvaluator::ExecutePlanUncached(
     const QueryPlan& plan, AnswerMode mode, const util::CancelToken* cancel,
     obs::TraceContext* trace) const {
-  const bool has_bn =
-      model_->network() != nullptr && !bn_executors_.empty();
   if (plan.kind == PlanKind::kPassthrough || mode == AnswerMode::kSampleOnly ||
-      !has_bn) {
+      engine_ == nullptr) {
     return sample_executor_.Execute(plan.stmt, pool_, shard_rows_, cancel,
                                     trace);
   }
 
   if (plan.kind == PlanKind::kPoint) {
     // Pure point queries (d-dimensional COUNT(*) with equality predicates)
-    // route through the Sec 4.3 point rule with *exact* BN inference
-    // instead of the sampled GROUP BY machinery.
+    // route through the Sec 4.3 point rule: N·Pr(x) by exact BN inference
+    // instead of the GROUP BY machinery.
     double estimate = 0;
     if (!plan.out_of_domain) {
       THEMIS_ASSIGN_OR_RETURN(
@@ -260,9 +284,9 @@ Result<sql::QueryResult> HybridEvaluator::ExecutePlan(
   // kSampleOnly / a BN-less model. Point plans answered through the
   // Sec 4.3 point rule bypass it: the inference memo already serves them
   // at the cost of one cache probe.
-  const bool has_bn = model_->network() != nullptr && !bn_executors_.empty();
   const bool point_via_inference = plan.kind == PlanKind::kPoint &&
-                                   has_bn && mode != AnswerMode::kSampleOnly;
+                                   engine_ != nullptr &&
+                                   mode != AnswerMode::kSampleOnly;
   const bool memoizable = result_memo_enabled_ && !point_via_inference &&
                           !plan.fingerprint.empty();
   std::string key;
@@ -331,9 +355,8 @@ Result<sql::QueryResult> HybridEvaluator::ExecutePlan(
 
 sql::ExecutorStats HybridEvaluator::executor_stats() const {
   sql::ExecutorStats total = sample_executor_.stats();
-  for (const sql::Executor& executor : bn_executors_) {
-    total += executor.stats();
-  }
+  std::lock_guard<std::mutex> lock(bn_stats_mu_);
+  total += bn_stats_;
   return total;
 }
 
@@ -396,7 +419,7 @@ Result<std::vector<sql::QueryResult>> HybridEvaluator::QueryBatch(
     }
   }
   // Whole plans are pool tasks: distinct queries run concurrently, and
-  // each GROUP BY plan's K-executor fan-out nests on the same pool.
+  // each plan's sharded scans nest on the same pool.
   std::vector<Result<sql::QueryResult>> results(
       plans.size(), Result<sql::QueryResult>(Status::Internal("not run")));
   pool_->ParallelFor(0, plans.size(), [&](size_t i) {

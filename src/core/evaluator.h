@@ -79,14 +79,21 @@ size_t ApproxResultBytes(const sql::QueryResult& result);
 ///
 /// GROUP BY queries: the reweighted-sample answer, unioned with groups
 /// that appear in the BN answer but not the sample answer. The BN answer
-/// comes from the K pre-generated uniformly-scaled samples: only groups
-/// present in all K runs survive (phantom-group suppression) and their
-/// values are averaged.
+/// is exact: each FROM entry reads the BN's joint on the attributes the
+/// statement reads through it, as a weighted table with one row per
+/// nonzero cell weighing N·Pr(cell) (bn::InferenceEngine::MarginalTable,
+/// memoized), and the executor runs the statement over those tables.
+/// Filters, IN lists, ranges, SUM/AVG midpoints and self-joins therefore
+/// keep the sample path's semantics. A BN group is kept when it is a
+/// consensus answer (Li & Deshpande): its presence probability in one
+/// draw of n rows, the size of the raw sample, is at least ½. Under
+/// Poisson presence that is an expected count COUNT·(n/N)^r ≥ ln 2, for r
+/// FROM entries; the COUNT mass decides even for SUM/AVG items. A global
+/// aggregate (no GROUP BY) keeps its row.
 ///
 /// All parallelism runs on one util::ThreadPool (the shared execution
-/// runtime): QueryBatch fans whole plans across the pool, each GROUP BY
-/// plan fans its K BN-sample executors as nested pool tasks, and large
-/// scans shard by row range inside the executor — one pool, no
+/// runtime): QueryBatch fans whole plans across the pool and large scans
+/// shard by row range inside the executor — one pool, no
 /// oversubscription, and results bitwise identical to a sequential
 /// Query() loop at any pool size (the fan-outs merge deterministically).
 /// GROUP BY / passthrough answers are additionally memoized per
@@ -138,10 +145,10 @@ class HybridEvaluator {
   /// Plans `sql` through the shared plan cache.
   Result<QueryPlanPtr> Plan(const std::string& sql) const;
 
-  /// Executes a previously planned query on the shared pool (K BN-sample
-  /// executors and large scans fan out; a 1-thread pool degenerates to
-  /// the identical sequential execution). Serves memoized GROUP BY /
-  /// passthrough results when the plan carries a fingerprint.
+  /// Executes a previously planned query on the shared pool (large scans
+  /// fan out; a 1-thread pool degenerates to the identical sequential
+  /// execution). Serves memoized GROUP BY / passthrough results when the
+  /// plan carries a fingerprint.
   ///
   /// `cancel` is polled once on entry (before the memo, so an expired
   /// deadline answers kDeadlineExceeded even for a memoized plan) and
@@ -178,9 +185,9 @@ class HybridEvaluator {
 
   ResultMemoStats result_memo_stats() const;
 
-  /// Aggregated scan-path counters over the sample executor and the K
-  /// BN-sample executors — rows scanned/passed, groups emitted, join
-  /// build/probe rows (see sql::ExecutorStats).
+  /// Aggregated scan-path counters over the sample executor and every
+  /// scan of a BN marginal table — rows scanned/passed, groups emitted,
+  /// join build/probe rows (see sql::ExecutorStats).
   sql::ExecutorStats executor_stats() const;
 
   /// Drops every memoized query result (the memo also dies naturally with
@@ -227,9 +234,8 @@ class HybridEvaluator {
   Result<double> BnPointEstimate(const std::vector<size_t>& attrs,
                                  const data::TupleKey& values) const;
 
-  /// Runs `stmt` over the K BN samples as nested pool tasks, keeping
-  /// groups present in all K and averaging their values. The merge walks
-  /// executors in index order, so the answer is pool-size independent.
+  /// Runs `stmt` over BN marginal tables, one per FROM entry, and keeps
+  /// the consensus groups (see the class comment).
   Result<sql::QueryResult> BnGroupBy(const sql::SelectStatement& stmt,
                                      const util::CancelToken* cancel,
                                      obs::TraceContext* trace) const;
@@ -247,7 +253,9 @@ class HybridEvaluator {
   std::string table_name_;
   std::string relation_;
   sql::Executor sample_executor_;
-  std::vector<sql::Executor> bn_executors_;  // one per BN sample
+  /// Counters of the per-call executors that scan BN marginal tables.
+  mutable std::mutex bn_stats_mu_;
+  mutable sql::ExecutorStats bn_stats_;
   std::unique_ptr<bn::InferenceEngine> engine_;
   std::unique_ptr<QueryPlanner> planner_;
   std::unique_ptr<util::ThreadPool> owned_pool_;  // when num_threads is set

@@ -7,7 +7,6 @@
 #include "reweight/linreg.h"
 #include "reweight/uniform.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace themis::core {
@@ -26,8 +25,7 @@ const char* ReweightMethodName(ReweightMethod method) {
 
 Result<ThemisModel> ThemisModel::Build(data::Table sample,
                                        aggregate::AggregateSet aggregates,
-                                       const ThemisOptions& options,
-                                       util::ThreadPool* pool) {
+                                       const ThemisOptions& options) {
   if (sample.num_rows() == 0) {
     return Status::InvalidArgument("ThemisModel: empty sample");
   }
@@ -113,7 +111,7 @@ Result<ThemisModel> ThemisModel::Build(data::Table sample,
   model.build_stats_.sample_rows = sample_rows;
   model.build_stats_.sample_classes = model.sample_.num_rows();
 
-  // Probabilistic model learning + GROUP BY sample generation.
+  // Probabilistic model learning.
   if (options.enable_bn) {
     bn::BnLearnStats bn_stats;
     auto network = bn::LearnBayesNet(model.sample_.schema(), &raw_sample,
@@ -124,42 +122,6 @@ Result<ThemisModel> ThemisModel::Build(data::Table sample,
         std::make_shared<bn::BayesianNetwork>(std::move(network).value());
     model.build_stats_.bn_structure_seconds = bn_stats.structure_seconds;
     model.build_stats_.bn_parameter_seconds = bn_stats.parameter_seconds;
-
-    timer.Restart();
-    const size_t rows =
-        options.bn_sample_rows > 0 ? options.bn_sample_rows : sample_rows;
-    // The K tables are consecutive stretches of one Rng(seed) stream. Each
-    // SampleTable call advances its Rng by exactly rows · num_nodes()
-    // steps, so table k starts from a copy jumped that far k times, and
-    // the parallel tables equal the sequential ones bit for bit.
-    const size_t k_samples = options.bn_group_by_samples;
-    std::vector<Rng> rngs;
-    rngs.reserve(k_samples);
-    Rng rng(options.seed);
-    for (size_t k = 0; k < k_samples; ++k) {
-      rngs.push_back(rng);
-      if (k + 1 < k_samples) {
-        rng.engine().discard(rows * model.network_->num_nodes());
-      }
-    }
-    std::unique_ptr<util::ThreadPool> owned_pool;
-    util::ThreadPool* build_pool =
-        util::ResolvePool(pool, options.num_threads, owned_pool);
-    model.bn_samples_.assign(k_samples, data::Table(model.sample_.schema()));
-    std::vector<double> compact_seconds(k_samples, 0.0);
-    build_pool->ParallelFor(0, k_samples, [&](size_t k) {
-      const data::Table drawn =
-          model.network_->SampleTable(rows, model.population_size_, rngs[k]);
-      Timer compact_timer;
-      model.bn_samples_[k] = drawn.Compact();
-      compact_seconds[k] = compact_timer.Seconds();
-    });
-    model.build_stats_.generate_seconds = timer.Seconds();
-    for (size_t k = 0; k < k_samples; ++k) {
-      model.build_stats_.compact_seconds += compact_seconds[k];
-      model.build_stats_.bn_rows += rows;
-      model.build_stats_.bn_classes += model.bn_samples_[k].num_rows();
-    }
   }
   return model;
 }

@@ -10,10 +10,6 @@
 #include "data/table.h"
 #include "util/status.h"
 
-namespace themis::util {
-class ThreadPool;
-}  // namespace themis::util
-
 namespace themis::core {
 
 /// Timing/diagnostic record of a model build, used by the Table 8 / Fig 16
@@ -22,6 +18,8 @@ struct BuildStats {
   double reweight_seconds = 0;
   double bn_structure_seconds = 0;
   double bn_parameter_seconds = 0;
+  /// Vestigial, always 0: the model pre-generates no BN samples (GROUP BY
+  /// answers come from exact BN marginals). Kept for code that reads it.
   double generate_seconds = 0;
   bool reweight_converged = true;
   int reweight_iterations = 0;
@@ -29,17 +27,14 @@ struct BuildStats {
   /// other reweighters.
   double reweight_max_violation = 0;
   size_t aggregates_used = 0;
-  /// Seconds in Table::Compact, summed over the sample, the raw sample the
-  /// BN learns from and the K BN samples. The BN samples compact inside
-  /// the parallel tasks that generate them, so generate_seconds covers
-  /// that part too.
+  /// Seconds in Table::Compact, summed over the sample and the raw sample
+  /// the BN learns from.
   double compact_seconds = 0;
-  /// Rows of the reweighted sample before and after compaction.
+  /// Rows of the reweighted sample before and after compaction. The row
+  /// count is also n, the draw size of the consensus rule that picks a
+  /// GROUP BY's BN groups (HybridEvaluator).
   size_t sample_rows = 0;
   size_t sample_classes = 0;
-  /// Rows of the K BN samples before and after compaction, summed over K.
-  size_t bn_rows = 0;
-  size_t bn_classes = 0;
 };
 
 /// The model M(Γ, S) of Sec 4: a reweighted sample plus a Bayesian-network
@@ -49,14 +44,11 @@ class ThemisModel {
  public:
   /// Runs the full build pipeline: infer |P| → prune Γ to the budget →
   /// reweight S → keep one row per distinct tuple of S (Table::Compact) →
-  /// learn the BN → pre-generate and compact the K BN sample tables used
-  /// for GROUP BY answering. The K tables generate in parallel on `pool`,
-  /// resolved like the evaluator's (util::ResolvePool with
-  /// options.num_threads); they are bitwise identical for every pool size.
+  /// learn the BN. Nothing is sampled from the BN: point queries and
+  /// GROUP BYs both answer from exact inference on it (HybridEvaluator).
   static Result<ThemisModel> Build(data::Table sample,
                                    aggregate::AggregateSet aggregates,
-                                   const ThemisOptions& options = {},
-                                   util::ThreadPool* pool = nullptr);
+                                   const ThemisOptions& options = {});
 
   const ThemisOptions& options() const { return options_; }
   double population_size() const { return population_size_; }
@@ -69,12 +61,12 @@ class ThemisModel {
   /// The learned population model; null when options.enable_bn is false.
   const bn::BayesianNetwork* network() const { return network_.get(); }
 
-  /// The K pre-generated BN samples (empty if no BN), one row per
-  /// distinct tuple. Each draws options.bn_sample_rows rows (default: as
-  /// many as the sample has), each weighing population_size over that
-  /// count; a kept row carries the summed weight of the drawn rows holding
-  /// its tuple (Table::Compact).
-  const std::vector<data::Table>& bn_samples() const { return bn_samples_; }
+  /// Vestigial, always empty: the model keeps no pre-generated BN
+  /// samples. Kept for code that iterates over them.
+  const std::vector<data::Table>& bn_samples() const {
+    static const std::vector<data::Table> kNone;
+    return kNone;
+  }
 
   /// The aggregates actually used after pruning.
   const aggregate::AggregateSet& aggregates() const { return aggregates_; }
@@ -93,7 +85,6 @@ class ThemisModel {
   ThemisOptions options_;
   double population_size_ = 0;
   std::shared_ptr<bn::BayesianNetwork> network_;
-  std::vector<data::Table> bn_samples_;
   BuildStats build_stats_;
 };
 

@@ -24,13 +24,6 @@ struct ThemisOptions {
   /// Bayesian network learning settings (variant, tree restriction, solver).
   bn::BnLearnOptions bn;
 
-  /// K: number of BN-generated samples used to answer GROUP BY queries
-  /// (Sec 4.2.4; the paper uses K = 10).
-  size_t bn_group_by_samples = 10;
-
-  /// Rows per generated BN sample; 0 means "same as the input sample".
-  size_t bn_sample_rows = 0;
-
   /// Aggregate budget B for t-cherry pruning of the >=2D aggregates
   /// (Sec 5.1); 0 keeps every supplied aggregate.
   size_t aggregate_budget = 0;
@@ -77,8 +70,8 @@ struct ThemisOptions {
   /// relations at Build time.
   size_t result_memo_bytes = 0;
 
-  /// Worker threads of the execution runtime (cross-query batch fan-out,
-  /// per-plan K BN-sample executors, sharded scans — one shared pool).
+  /// Worker threads of the execution runtime (cross-query batch fan-out
+  /// and sharded scans — one shared pool).
   /// 0 = util::DefaultParallelism() (THEMIS_NUM_THREADS env override,
   /// else hardware concurrency).
   size_t num_threads = 0;

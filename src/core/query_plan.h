@@ -21,7 +21,7 @@ enum class PlanKind {
   /// (reweighted-sample mass when present, exact BN inference otherwise).
   kPoint,
   /// Any other statement against a BN-backed model: executor answers, with
-  /// the K-sample BN union machinery outside sample-only mode.
+  /// the exact BN-marginal union machinery outside sample-only mode.
   kGroupBy,
   /// The model has no usable BN, so every mode degenerates to the
   /// reweighted-sample executor whatever the statement shape.
@@ -71,7 +71,7 @@ Result<std::string> FirstFromTable(const std::string& sql);
 class QueryPlanner {
  public:
   /// `has_bn` is whether the model can answer through the BN machinery
-  /// (network present and K generated samples available). `relation` is
+  /// (a learned network is present). `relation` is
   /// stamped into every produced plan and its fingerprint, isolating the
   /// plan->result memo entries of catalog relations from one another.
   QueryPlanner(data::SchemaPtr schema, bool has_bn,

@@ -86,9 +86,9 @@ struct ExecutorStats {
   /// resolves the same backend unless THEMIS_SIMD changed between
   /// constructions.
   std::string simd_backend;
-  /// Rows fed through the filter pipeline. A model's tables hold one row
-  /// per distinct tuple (Table::Compact), so over them this counts
-  /// distinct tuples, not sample or BN-sample draws.
+  /// Rows fed through the filter pipeline. A model's sample holds one row
+  /// per distinct tuple (Table::Compact) and a BN marginal table one per
+  /// nonzero cell, so over them this counts tuples and cells, not draws.
   uint64_t rows_scanned = 0;
   uint64_t rows_passed = 0;      ///< rows surviving every filter
   uint64_t groups_emitted = 0;   ///< result rows materialized

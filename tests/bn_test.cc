@@ -1,12 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <set>
+#include <string>
 
+#include "aggregate/aggregate.h"
 #include "bn/bayes_net.h"
 #include "bn/child_network.h"
 #include "bn/cpt.h"
 #include "bn/dag.h"
 #include "bn/inference.h"
+#include "bn/inference_engine.h"
+#include "bn/learn.h"
+#include "workload/flights.h"
+#include "workload/sampler.h"
 
 namespace themis::bn {
 namespace {
@@ -303,6 +311,467 @@ TEST(ChildNetworkTest, InferenceRunsOnFullNetwork) {
   ASSERT_TRUE(marginal.ok());
   EXPECT_NEAR(marginal->TotalMass(), 1.0, 1e-9);
   EXPECT_EQ(marginal->num_groups(), 6u);
+}
+
+/// The hash-map variable elimination the dense one replaced, kept as the
+/// differential reference: sparse factors keyed by value tuples, evidence
+/// applied while building the CPT factors, min-entries elimination order,
+/// no pruning of barren nodes.
+class SparseVariableElimination {
+ public:
+  explicit SparseVariableElimination(const BayesianNetwork* network)
+      : network_(network) {}
+
+  double Probability(const Evidence& evidence) const {
+    if (evidence.empty()) return 1.0;
+    double p = 0;
+    for (const auto& entry : Eliminate({}, evidence).values) p += entry.second;
+    return p;
+  }
+
+  /// Normalized joint over `targets` given `evidence`.
+  stats::FreqTable Marginal(const std::vector<size_t>& targets,
+                            const Evidence& evidence = {}) const {
+    Factor f = Eliminate(targets, evidence);
+    std::vector<size_t> sorted = targets;
+    std::sort(sorted.begin(), sorted.end());
+    std::vector<size_t> pos(targets.size());
+    for (size_t i = 0; i < targets.size(); ++i) {
+      pos[i] = static_cast<size_t>(
+          std::lower_bound(sorted.begin(), sorted.end(), targets[i]) -
+          sorted.begin());
+    }
+    double total = 0;
+    for (const auto& entry : f.values) total += entry.second;
+    stats::FreqTable out(targets);
+    for (const auto& [key, v] : f.values) {
+      data::TupleKey reordered(targets.size());
+      for (size_t i = 0; i < targets.size(); ++i) reordered[i] = key[pos[i]];
+      out.Add(reordered, v / total);
+    }
+    return out;
+  }
+
+ private:
+  struct Factor {
+    std::vector<size_t> attrs;  // sorted
+    std::unordered_map<data::TupleKey, double, data::TupleKeyHash> values;
+
+    bool Contains(size_t attr) const {
+      return std::binary_search(attrs.begin(), attrs.end(), attr);
+    }
+  };
+
+  Factor CptFactor(size_t node, const Evidence& evidence) const {
+    const Cpt& cpt = network_->cpt(node);
+    std::vector<size_t> scope = cpt.parents();
+    scope.push_back(node);
+    std::sort(scope.begin(), scope.end());
+    Factor f;
+    for (size_t a : scope) {
+      if (evidence.count(a) == 0) f.attrs.push_back(a);
+    }
+    for (size_t cfg = 0; cfg < cpt.num_configs(); ++cfg) {
+      const data::TupleKey parent_codes = cpt.DecodeConfig(cfg);
+      bool parents_ok = true;
+      for (size_t i = 0; i < cpt.parents().size(); ++i) {
+        auto it = evidence.find(cpt.parents()[i]);
+        if (it != evidence.end() && it->second != parent_codes[i]) {
+          parents_ok = false;
+          break;
+        }
+      }
+      if (!parents_ok) continue;
+      auto child_ev = evidence.find(node);
+      const size_t j_begin = child_ev == evidence.end()
+                                 ? 0
+                                 : static_cast<size_t>(child_ev->second);
+      const size_t j_end = child_ev == evidence.end()
+                               ? cpt.child_size()
+                               : static_cast<size_t>(child_ev->second) + 1;
+      for (size_t j = j_begin; j < j_end; ++j) {
+        const double p = cpt.Prob(cfg, static_cast<data::ValueCode>(j));
+        if (p == 0.0) continue;
+        data::TupleKey key;
+        for (size_t a : f.attrs) {
+          if (a == node) {
+            key.push_back(static_cast<data::ValueCode>(j));
+          } else {
+            auto pit =
+                std::find(cpt.parents().begin(), cpt.parents().end(), a);
+            key.push_back(parent_codes[static_cast<size_t>(
+                pit - cpt.parents().begin())]);
+          }
+        }
+        f.values[key] += p;
+      }
+    }
+    return f;
+  }
+
+  static Factor Multiply(const Factor& a, const Factor& b) {
+    Factor out;
+    std::set_union(a.attrs.begin(), a.attrs.end(), b.attrs.begin(),
+                   b.attrs.end(), std::back_inserter(out.attrs));
+    auto position = [&](size_t attr) {
+      return static_cast<size_t>(
+          std::lower_bound(out.attrs.begin(), out.attrs.end(), attr) -
+          out.attrs.begin());
+    };
+    for (const auto& [akey, aval] : a.values) {
+      for (const auto& [bkey, bval] : b.values) {
+        data::TupleKey key(out.attrs.size(), -1);
+        bool agree = true;
+        for (size_t i = 0; i < a.attrs.size(); ++i) {
+          key[position(a.attrs[i])] = akey[i];
+        }
+        for (size_t i = 0; i < b.attrs.size() && agree; ++i) {
+          data::ValueCode& slot = key[position(b.attrs[i])];
+          if (slot != -1 && slot != bkey[i]) agree = false;
+          slot = bkey[i];
+        }
+        if (agree) out.values[key] += aval * bval;
+      }
+    }
+    return out;
+  }
+
+  static Factor SumOut(const Factor& f, size_t attr) {
+    Factor out;
+    size_t pos = 0;
+    for (size_t i = 0; i < f.attrs.size(); ++i) {
+      if (f.attrs[i] == attr) {
+        pos = i;
+      } else {
+        out.attrs.push_back(f.attrs[i]);
+      }
+    }
+    for (const auto& [key, v] : f.values) {
+      data::TupleKey sub;
+      for (size_t i = 0; i < key.size(); ++i) {
+        if (i != pos) sub.push_back(key[i]);
+      }
+      out.values[sub] += v;
+    }
+    return out;
+  }
+
+  Factor Eliminate(const std::vector<size_t>& targets,
+                   const Evidence& evidence) const {
+    std::vector<Factor> factors;
+    for (size_t v = 0; v < network_->num_nodes(); ++v) {
+      factors.push_back(CptFactor(v, evidence));
+    }
+    std::set<size_t> keep(targets.begin(), targets.end());
+    std::set<size_t> to_eliminate;
+    for (size_t v = 0; v < network_->num_nodes(); ++v) {
+      if (keep.count(v) == 0 && evidence.count(v) == 0) to_eliminate.insert(v);
+    }
+    while (!to_eliminate.empty()) {
+      size_t best_var = 0;
+      size_t best_cost = SIZE_MAX;
+      for (size_t var : to_eliminate) {
+        size_t cost = 0;
+        for (const Factor& f : factors) {
+          if (f.Contains(var)) cost += f.values.size();
+        }
+        if (cost < best_cost) {
+          best_cost = cost;
+          best_var = var;
+        }
+      }
+      std::vector<Factor> remaining;
+      Factor combined;
+      bool have = false;
+      for (Factor& f : factors) {
+        if (!f.Contains(best_var)) {
+          remaining.push_back(std::move(f));
+        } else if (!have) {
+          combined = std::move(f);
+          have = true;
+        } else {
+          combined = Multiply(combined, f);
+        }
+      }
+      if (have) remaining.push_back(SumOut(combined, best_var));
+      factors = std::move(remaining);
+      to_eliminate.erase(best_var);
+    }
+    Factor result;
+    result.values[{}] = 1.0;
+    for (const Factor& f : factors) result = Multiply(result, f);
+    return result;
+  }
+
+  const BayesianNetwork* network_;
+};
+
+/// The BN learned from Example 4.2's data: the 4-row sample of the
+/// 10-flight population with aggregates {date} and {o_st, d_st}.
+BayesianNetwork Example42Network() {
+  auto schema = std::make_shared<data::Schema>();
+  schema->AddAttribute("date", {"01", "02"});
+  schema->AddAttribute("o_st", {"FL", "NC", "NY"});
+  schema->AddAttribute("d_st", {"FL", "NC", "NY"});
+  data::Table population(schema);
+  const char* prows[][3] = {
+      {"01", "FL", "FL"}, {"01", "FL", "FL"}, {"02", "FL", "NY"},
+      {"01", "NC", "FL"}, {"02", "NC", "NY"}, {"02", "NC", "NY"},
+      {"02", "NC", "NY"}, {"01", "NY", "FL"}, {"01", "NY", "NC"},
+      {"02", "NY", "NY"}};
+  for (const auto& r : prows) population.AppendRowLabels({r[0], r[1], r[2]});
+  data::Table sample(schema);
+  const char* srows[][3] = {{"01", "FL", "FL"},
+                            {"01", "FL", "FL"},
+                            {"02", "NC", "NY"},
+                            {"01", "NY", "NC"}};
+  for (const auto& r : srows) sample.AppendRowLabels({r[0], r[1], r[2]});
+  aggregate::AggregateSet aggregates(schema);
+  aggregates.Add(aggregate::ComputeAggregate(population, {0}));
+  aggregates.Add(aggregate::ComputeAggregate(population, {1, 2}));
+  auto network = LearnBayesNet(schema, &sample, &aggregates, {});
+  THEMIS_CHECK(network.ok()) << network.status().ToString();
+  return std::move(network).value();
+}
+
+/// The BN learned from a flights Corners sample with one 2-D and two 1-D
+/// aggregates, as the benchmark's configuration in small.
+BayesianNetwork FlightsCornersNetwork() {
+  const data::Table population = workload::GenerateFlights({20000, 5});
+  auto sample = workload::MakeFlightsSample(population, "Corners", 0.1, 6);
+  THEMIS_CHECK(sample.ok());
+  aggregate::AggregateSet aggregates(population.schema());
+  aggregates.Add(aggregate::ComputeAggregate(
+      population,
+      {workload::FlightsAttrs::kOrigin, workload::FlightsAttrs::kDest}));
+  aggregates.Add(
+      aggregate::ComputeAggregate(population, {workload::FlightsAttrs::kDate}));
+  aggregates.Add(aggregate::ComputeAggregate(
+      population, {workload::FlightsAttrs::kDistance}));
+  auto network =
+      LearnBayesNet(population.schema(), &*sample, &aggregates, {});
+  THEMIS_CHECK(network.ok()) << network.status().ToString();
+  return std::move(network).value();
+}
+
+/// A random network: each node takes up to three earlier nodes as parents
+/// and a domain of 2-5 values; CPT rows are random distributions with some
+/// exact zeros.
+BayesianNetwork RandomNetwork(uint64_t seed, size_t nodes) {
+  Rng rng(seed);
+  auto schema = std::make_shared<data::Schema>();
+  for (size_t v = 0; v < nodes; ++v) {
+    std::vector<std::string> labels;
+    const int64_t size = rng.UniformInt(2, 5);
+    for (int64_t i = 0; i < size; ++i) labels.push_back(std::to_string(i));
+    std::string name = "x";
+    name += std::to_string(v);
+    schema->AddAttribute(name, labels);
+  }
+  Dag dag(nodes);
+  for (size_t v = 1; v < nodes; ++v) {
+    const int64_t parents = rng.UniformInt(0, std::min<int64_t>(3, v));
+    for (int64_t i = 0; i < parents; ++i) {
+      const auto p = static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(v) - 1));
+      if (!dag.HasEdge(p, v)) THEMIS_CHECK_OK(dag.AddEdge(p, v));
+    }
+  }
+  BayesianNetwork network(schema, dag);
+  for (size_t v = 0; v < nodes; ++v) {
+    for (double& p : network.mutable_cpt(v).mutable_flat()) {
+      p = rng.UniformDouble() < 0.1 ? 0.0 : rng.UniformDouble();
+    }
+    network.mutable_cpt(v).NormalizeRows();
+  }
+  return network;
+}
+
+void ExpectSameDistribution(const stats::FreqTable& got,
+                            const stats::FreqTable& want,
+                            const std::string& what) {
+  EXPECT_EQ(got.attrs(), want.attrs()) << what;
+  ASSERT_EQ(got.num_groups(), want.num_groups()) << what;
+  for (const auto& [key, mass] : want.entries()) {
+    EXPECT_NEAR(got.Mass(key), mass, 1e-12 * mass) << what;
+  }
+}
+
+/// Dense == sparse on points and marginals, with and without evidence,
+/// over seeded random attribute subsets of `network`.
+void ExpectDenseMatchesSparse(const BayesianNetwork& network, uint64_t seed) {
+  VariableElimination dense(&network);
+  SparseVariableElimination sparse(&network);
+  const size_t n = network.num_nodes();
+  Rng rng(seed);
+  auto random_subset = [&](size_t size) {
+    std::vector<size_t> attrs(n);
+    for (size_t v = 0; v < n; ++v) attrs[v] = v;
+    std::shuffle(attrs.begin(), attrs.end(), rng.engine());
+    attrs.resize(size);
+    return attrs;
+  };
+  auto random_evidence = [&](const std::vector<size_t>& attrs) {
+    Evidence evidence;
+    for (size_t a : attrs) {
+      evidence[a] = static_cast<data::ValueCode>(rng.UniformInt(
+          0, static_cast<int64_t>(network.cpt(a).child_size()) - 1));
+    }
+    return evidence;
+  };
+  for (int round = 0; round < 20; ++round) {
+    // A point over 1..n attributes.
+    const auto point_attrs = random_subset(
+        static_cast<size_t>(rng.UniformInt(1, static_cast<int64_t>(n))));
+    const Evidence point = random_evidence(point_attrs);
+    auto p = dense.Probability(point);
+    ASSERT_TRUE(p.ok()) << p.status().ToString();
+    const double want = sparse.Probability(point);
+    EXPECT_NEAR(*p, want, 1e-12 * want) << "round " << round;
+
+    // A marginal over 1..3 targets in random order, then given evidence
+    // on up to two other attributes.
+    const size_t num_targets = static_cast<size_t>(
+        rng.UniformInt(1, std::min<int64_t>(3, static_cast<int64_t>(n) - 1)));
+    const size_t num_evidence = static_cast<size_t>(rng.UniformInt(
+        1, std::min<int64_t>(2, static_cast<int64_t>(n - num_targets))));
+    auto attrs = random_subset(num_targets + num_evidence);
+    const std::vector<size_t> targets(attrs.begin(),
+                                      attrs.begin() + num_targets);
+    const Evidence evidence = random_evidence(
+        std::vector<size_t>(attrs.begin() + num_targets, attrs.end()));
+    auto marginal = dense.Marginal(targets);
+    ASSERT_TRUE(marginal.ok());
+    ExpectSameDistribution(*marginal, sparse.Marginal(targets),
+                           "round " + std::to_string(round));
+    if (sparse.Probability(evidence) > 0) {
+      auto conditional = dense.Marginal(targets, evidence);
+      ASSERT_TRUE(conditional.ok());
+      ExpectSameDistribution(*conditional, sparse.Marginal(targets, evidence),
+                             "conditional, round " + std::to_string(round));
+    }
+  }
+}
+
+TEST(DenseInferenceTest, MatchesSparseOnExample42) {
+  const BayesianNetwork network = Example42Network();
+  ExpectDenseMatchesSparse(network, 1);
+}
+
+TEST(DenseInferenceTest, MatchesSparseOnFlightsCorners) {
+  const BayesianNetwork network = FlightsCornersNetwork();
+  ASSERT_GT(network.dag().num_edges(), 0u);
+  ExpectDenseMatchesSparse(network, 2);
+}
+
+TEST(DenseInferenceTest, MatchesSparseOnRandomNetworks) {
+  for (uint64_t seed = 10; seed < 20; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const BayesianNetwork network = RandomNetwork(seed, 7);
+    ExpectDenseMatchesSparse(network, seed);
+  }
+}
+
+TEST(DenseInferenceTest, JointTableRowsAreNonzeroCellsInRowMajorOrder) {
+  // Chain A -> B -> C: Pr(A, C) has four nonzero cells; row r holds cell
+  // (r / 2, r % 2), weighing scale · Pr, and B's column stays 0.
+  BayesianNetwork network = ChainNetwork();
+  VariableElimination ve(&network);
+  auto table = ve.JointTable({2, 0, 2}, 10.0);
+  ASSERT_TRUE(table.ok());
+  ASSERT_EQ(table->num_rows(), 4u);
+  for (size_t r = 0; r < 4; ++r) {
+    EXPECT_EQ(table->Get(r, 0), static_cast<data::ValueCode>(r / 2));
+    EXPECT_EQ(table->Get(r, 1), 0);
+    EXPECT_EQ(table->Get(r, 2), static_cast<data::ValueCode>(r % 2));
+  }
+  EXPECT_NEAR(table->weight(3), 10.0 * 0.15, 1e-12);  // Pr(A=1, C=1)
+  EXPECT_NEAR(table->TotalWeight(), 10.0, 1e-12);
+  auto empty = ve.JointTable({}, 10.0);
+  ASSERT_TRUE(empty.ok());
+  ASSERT_EQ(empty->num_rows(), 1u);
+  EXPECT_EQ(empty->weight(0), 10.0);
+}
+
+TEST(DenseInferenceTest, FactorsPastTheBoundFailBeforeAllocating) {
+  // Five independent 100-value attributes: the joint over four of them
+  // has 10^8 cells, past kMaxFactorCells; over three it has 10^6.
+  auto schema = std::make_shared<data::Schema>();
+  std::vector<std::string> labels;
+  for (int i = 0; i < 100; ++i) labels.push_back(std::to_string(i));
+  for (char name : std::string("abcde")) {
+    schema->AddAttribute(std::string(1, name), labels);
+  }
+  BayesianNetwork network(schema, Dag(5));
+  static_assert(100 * 100 * 100 <= kMaxFactorCells);
+  static_assert(100 * 100 * 100 * 100 > kMaxFactorCells);
+  VariableElimination ve(&network);
+  auto wide = ve.JointTable({0, 1, 2, 3}, 1.0);
+  ASSERT_FALSE(wide.ok());
+  EXPECT_EQ(wide.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(ve.Marginal({3, 1, 0, 2}).status().code(),
+            StatusCode::kResourceExhausted);
+  InferenceEngine engine(&network);
+  EXPECT_EQ(engine.MarginalTable({0, 1, 2, 3}, 1e6).status().code(),
+            StatusCode::kResourceExhausted);
+  auto narrow = ve.JointTable({0, 1, 2}, 1.0);
+  ASSERT_TRUE(narrow.ok());
+  ASSERT_EQ(narrow->num_rows(), 1000000u);
+  EXPECT_NEAR(narrow->weight(0), 1e-6, 1e-9 * 1e-6);
+  // Points stay small whatever the width: evidence leaves the scope.
+  auto point = ve.Probability({{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}});
+  ASSERT_TRUE(point.ok());
+  EXPECT_NEAR(*point, 1e-10, 1e-9 * 1e-10);
+}
+
+void ExpectBitwiseSameTable(const data::Table& got, const data::Table& want) {
+  EXPECT_EQ(got.schema(), want.schema());
+  ASSERT_EQ(got.num_rows(), want.num_rows());
+  for (size_t a = 0; a < want.num_attributes(); ++a) {
+    EXPECT_EQ(got.column(a), want.column(a)) << "attribute " << a;
+  }
+  EXPECT_EQ(got.weights(), want.weights());
+}
+
+TEST(DenseInferenceTest, MemoizedMarginalTableEqualsFreshBitwise) {
+  const BayesianNetwork network = FlightsCornersNetwork();
+  const double population = 20000;
+  InferenceEngine cached(&network);
+  InferenceEngine::Options off;
+  off.enable_cache = false;
+  InferenceEngine uncached(&network, off);
+  VariableElimination ve(&network);
+  for (const std::vector<size_t>& attrs :
+       {std::vector<size_t>{1}, {2, 0}, {4, 1, 2}, {0, 3, 3}}) {
+    auto first = cached.MarginalTable(attrs, population);
+    auto hit = cached.MarginalTable(attrs, population);
+    auto fresh = uncached.MarginalTable(attrs, population);
+    ASSERT_TRUE(first.ok() && hit.ok() && fresh.ok());
+    EXPECT_EQ(hit->get(), first->get());  // served from the memo
+    ExpectBitwiseSameTable(**hit, **fresh);
+
+    // One row per nonzero cell, weighing N·Pr(cell); other columns are 0.
+    std::vector<size_t> sorted = attrs;
+    std::sort(sorted.begin(), sorted.end());
+    sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+    auto marginal = ve.Marginal(sorted);
+    ASSERT_TRUE(marginal.ok());
+    const data::Table& table = **fresh;
+    ASSERT_EQ(table.num_rows(), marginal->num_groups());
+    for (size_t r = 0; r < table.num_rows(); ++r) {
+      EXPECT_EQ(table.weight(r),
+                population * marginal->Mass(table.KeyFor(r, sorted)));
+      for (size_t a = 0; a < table.num_attributes(); ++a) {
+        if (!std::binary_search(sorted.begin(), sorted.end(), a)) {
+          ASSERT_EQ(table.Get(r, a), 0);
+        }
+      }
+    }
+  }
+  const InferenceCacheStats stats = cached.cache_stats();
+  EXPECT_EQ(stats.hits, 4u);
+  EXPECT_EQ(stats.misses, 4u);
+  EXPECT_EQ(uncached.cache_stats().entries, 0u);
 }
 
 }  // namespace

@@ -63,12 +63,7 @@ class CatalogTest : public ::testing::Test {
     for (const auto& r : ss) shops_sample_->AppendRowLabels({r[0], r[1]});
   }
 
-  ThemisOptions FastOptions() const {
-    ThemisOptions options;
-    options.bn_group_by_samples = 5;
-    options.bn_sample_rows = 50;
-    return options;
-  }
+  ThemisOptions FastOptions() const { return ThemisOptions(); }
 
   /// Inserts both relations (sample + aggregates) into `db`.
   void InsertBoth(ThemisDb& db) const {
@@ -314,16 +309,21 @@ TEST_F(CatalogTest, FingerprintsAndCachesAreIsolatedPerRelation) {
   EXPECT_EQ(catalog.evaluator("mirror")->result_memo_stats().misses, 0u);
 
   // Inference caches too: a BN-answered point on one relation leaves the
-  // other's engine untouched.
+  // other's engine untouched (the GROUP BYs above read flights' engine).
   const std::string bn_point =
       "SELECT COUNT(*) FROM sample WHERE o_st = 'FL' AND d_st = 'NY'";
+  const bn::InferenceCacheStats flights_before =
+      catalog.evaluator("flights")->inference_engine()->cache_stats();
+  const size_t mirror_before =
+      catalog.evaluator("mirror")->inference_engine()->cache_stats().misses;
   ASSERT_TRUE(catalog.QueryOn("mirror", bn_point).ok());
   EXPECT_GT(catalog.evaluator("mirror")->inference_engine()->cache_stats()
                 .misses,
-            0u);
-  EXPECT_EQ(catalog.evaluator("flights")->inference_engine()->cache_stats()
-                .misses,
-            0u);
+            mirror_before);
+  const bn::InferenceCacheStats flights_after =
+      catalog.evaluator("flights")->inference_engine()->cache_stats();
+  EXPECT_EQ(flights_after.misses, flights_before.misses);
+  EXPECT_EQ(flights_after.hits, flights_before.hits);
 
   // FROM-routing resolves relation names, not table names: "sample" is a
   // table alias shared by both relations, so it is not routable.

@@ -48,12 +48,7 @@ class EngineTest : public ::testing::Test {
     aggregates_.Add(aggregate::ComputeAggregate(*population_, {1, 2}));
   }
 
-  ThemisOptions FastOptions() const {
-    ThemisOptions options;
-    options.bn_group_by_samples = 5;
-    options.bn_sample_rows = 50;
-    return options;
-  }
+  ThemisOptions FastOptions() const { return ThemisOptions(); }
 
   ThemisModel BuildModel(const ThemisOptions& options) const {
     auto model = ThemisModel::Build(sample_->Clone(), aggregates_, options);
@@ -115,13 +110,14 @@ TEST_F(EngineTest, EngineMatchesVariableElimination) {
   ASSERT_TRUE(from_engine.ok() && from_ve.ok());
   EXPECT_EQ(*from_engine, *from_ve);
 
-  auto m_engine = engine.Marginal({1, 2});
+  auto m_engine = engine.MarginalTable({1, 2}, 10.0);
   auto m_ve = ve.Marginal({1, 2});
   ASSERT_TRUE(m_engine.ok() && m_ve.ok());
-  ASSERT_EQ(m_engine->attrs(), m_ve->attrs());
-  EXPECT_EQ(m_engine->num_groups(), m_ve->num_groups());
-  for (const auto& [key, mass] : m_ve->entries()) {
-    EXPECT_DOUBLE_EQ(m_engine->Mass(key), mass);
+  const data::Table& table = **m_engine;
+  ASSERT_EQ(table.num_rows(), m_ve->num_groups());
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    EXPECT_DOUBLE_EQ(table.weight(r),
+                     10.0 * m_ve->Mass(table.KeyFor(r, {1, 2})));
   }
 }
 
@@ -143,15 +139,16 @@ TEST_F(EngineTest, RepeatedQueriesHitTheCache) {
 TEST_F(EngineTest, MarginalCacheIsOrderInsensitive) {
   ThemisModel model = BuildModel(FastOptions());
   bn::InferenceEngine engine(model.network());
-  auto forward = engine.Marginal({1, 2});
-  auto backward = engine.Marginal({2, 1});
+  auto forward = engine.MarginalTable({1, 2}, 10.0);
+  auto backward = engine.MarginalTable({2, 1, 2}, 10.0);
   ASSERT_TRUE(forward.ok() && backward.ok());
-  // (2,1) is served from the (1,2) entry, reordered.
+  // {2, 1, 2} is served from the {1, 2} entry.
   EXPECT_EQ(engine.cache_stats().hits, 1u);
   EXPECT_EQ(engine.cache_stats().misses, 1u);
-  for (const auto& [key, mass] : forward->entries()) {
-    EXPECT_EQ(backward->Mass({key[1], key[0]}), mass);
-  }
+  EXPECT_EQ(forward->get(), backward->get());
+  // Another scale is another table.
+  ASSERT_TRUE(engine.MarginalTable({1, 2}, 20.0).ok());
+  EXPECT_EQ(engine.cache_stats().misses, 2u);
 }
 
 TEST_F(EngineTest, LruEvictionRespectsConfiguredBound) {
@@ -351,7 +348,7 @@ TEST_F(EngineTest, ByteBudgetWeighsMarginalsOverProbabilities) {
   ASSERT_TRUE(engine.Probability({{1, 0}}).ok());
   const size_t prob_cost = engine.cache_stats().cost;
   EXPECT_GT(prob_cost, 0u);
-  ASSERT_TRUE(engine.Marginal({1, 2}).ok());
+  ASSERT_TRUE(engine.MarginalTable({1, 2}, 10.0).ok());
   const size_t with_marginal = engine.cache_stats().cost;
   // A 9-group marginal table costs more than a scalar probability entry.
   EXPECT_GT(with_marginal - prob_cost, prob_cost);
@@ -365,8 +362,8 @@ TEST_F(EngineTest, TinyByteBudgetRejectsHugeMarginals) {
   bn::InferenceEngine engine(model.network(), options);
   ASSERT_TRUE(engine.Probability({{1, 0}}).ok());
   EXPECT_EQ(engine.cache_stats().entries, 1u);
-  auto first = engine.Marginal({1, 2});
-  auto second = engine.Marginal({1, 2});
+  auto first = engine.MarginalTable({1, 2}, 10.0);
+  auto second = engine.MarginalTable({1, 2}, 10.0);
   ASSERT_TRUE(first.ok() && second.ok());
   // The marginal was never admitted: both calls miss, the probability
   // entry survives, and answers are unaffected.
@@ -374,9 +371,7 @@ TEST_F(EngineTest, TinyByteBudgetRejectsHugeMarginals) {
   EXPECT_EQ(engine.cache_stats().entries, 1u);
   ASSERT_TRUE(engine.Probability({{1, 0}}).ok());
   EXPECT_EQ(engine.cache_stats().hits, 1u);
-  for (const auto& [key, mass] : first->entries()) {
-    EXPECT_EQ(second->Mass(key), mass);
-  }
+  EXPECT_EQ((*first)->weights(), (*second)->weights());
 }
 
 TEST_F(EngineTest, ResultMemoServesRepeatedGroupByTraffic) {

@@ -37,8 +37,6 @@ class FullPipelineTest : public ::testing::Test {
         {FlightsAttrs::kElapsed},
         {FlightsAttrs::kDistance}};
     core::ThemisOptions options;
-    options.bn_group_by_samples = 3;
-    options.bn_sample_rows = 2000;
     auto suite = workload::MethodSuite::Build(
         *sample_, workload::MakeAggregates(*population_, sets),
         population_->num_rows(), options);
@@ -149,13 +147,20 @@ TEST_F(FullPipelineTest, SelfJoinQueryRuns) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 }
 
-TEST_F(FullPipelineTest, BnSamplesShareSchemaAndScale) {
+TEST_F(FullPipelineTest, BnMarginalTableSharesSchemaAndScale) {
+  // GROUP BYs read the BN through marginal tables: they must decode with
+  // the sample's schema and weigh N in total, like the sample itself.
   const auto& model = suite_->full_model();
-  ASSERT_EQ(model.bn_samples().size(), 3u);
-  for (const auto& table : model.bn_samples()) {
-    EXPECT_EQ(table.schema(), model.reweighted_sample().schema());
-    EXPECT_NEAR(table.TotalWeight(), model.population_size(), 1e-6);
-  }
+  EXPECT_TRUE(model.bn_samples().empty());
+  const bn::InferenceEngine* engine =
+      suite_->full_evaluator().inference_engine();
+  ASSERT_NE(engine, nullptr);
+  auto table = engine->MarginalTable(
+      {FlightsAttrs::kDest, FlightsAttrs::kOrigin}, model.population_size());
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  EXPECT_EQ((*table)->schema(), model.reweighted_sample().schema());
+  EXPECT_NEAR((*table)->TotalWeight(), model.population_size(),
+              1e-9 * model.population_size());
 }
 
 TEST_F(FullPipelineTest, ReweightedSampleSumsToPopulation) {

@@ -119,8 +119,6 @@ TEST_P(NoisyAggregateTest, PipelineSurvivesNoise) {
     aggregates.Add(std::move(spec));
   }
   core::ThemisOptions options;
-  options.bn_group_by_samples = 2;
-  options.bn_sample_rows = 200;
   options.population_size = static_cast<double>(population.num_rows());
   auto model =
       core::ThemisModel::Build(sample->Clone(), aggregates, options);
@@ -222,8 +220,6 @@ TEST(ThemisDbTest, FileBasedWorkflow) {
   ASSERT_TRUE(loaded_agg.ok()) << loaded_agg.status().ToString();
 
   core::ThemisOptions options;
-  options.bn_group_by_samples = 2;
-  options.bn_sample_rows = 100;
   options.population_size = static_cast<double>(population.num_rows());
   core::ThemisDb db(options);
   ASSERT_TRUE(db.InsertSample("sample", std::move(loaded_sample).value()).ok());

@@ -78,8 +78,6 @@ class ServerTest : public ::testing::Test {
 
   ThemisOptions FastOptions(size_t num_threads = 0) const {
     ThemisOptions options;
-    options.bn_group_by_samples = 5;
-    options.bn_sample_rows = 50;
     options.num_threads = num_threads;
     return options;
   }

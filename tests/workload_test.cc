@@ -239,8 +239,6 @@ TEST(MethodSuiteTest, AllMethodsAnswer) {
       pop, {{FlightsAttrs::kOrigin}, {FlightsAttrs::kDate},
             {FlightsAttrs::kOrigin, FlightsAttrs::kDest}});
   core::ThemisOptions options;
-  options.bn_group_by_samples = 3;
-  options.bn_sample_rows = 400;
   auto suite = MethodSuite::Build(*sample, aggs, pop.num_rows(), options);
   ASSERT_TRUE(suite.ok()) << suite.status().ToString();
   Rng rng(18);
