@@ -127,15 +127,18 @@ int Main(int argc, const char** argv) {
   core::ThemisOptions options;
   options.population_size = population_size;
   core::ThemisDb db(options);
-  THEMIS_CHECK_OK(db.InsertSample("sample", sample->Clone()));
+  // The catalog owns the only copy of the sample; the aggregate readers
+  // intern their labels into its schema, which the catalog shares.
+  const data::SchemaPtr schema = sample->schema();
+  THEMIS_CHECK_OK(db.InsertSample("sample", std::move(sample).value()));
   for (size_t f = 1; f < files.size(); ++f) {
-    auto spec = aggregate::ReadAggregateCsv(*sample->schema(), files[f]);
+    auto spec = aggregate::ReadAggregateCsv(*schema, files[f]);
     if (!spec.ok()) {
       std::fprintf(stderr, "error in %s: %s\n", files[f].c_str(),
                    spec.status().ToString().c_str());
       return 1;
     }
-    std::printf("loaded %s\n", spec->Describe(*sample->schema()).c_str());
+    std::printf("loaded %s\n", spec->Describe(*schema).c_str());
     THEMIS_CHECK_OK(db.InsertAggregate("sample", std::move(spec).value()));
   }
 

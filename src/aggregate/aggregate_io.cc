@@ -6,6 +6,17 @@
 #include "util/string_util.h"
 
 namespace themis::aggregate {
+namespace {
+
+/// std::getline without a trailing '\r', so a CRLF file reads like an LF
+/// file.
+bool GetLine(std::istream& in, std::string& line) {
+  if (!std::getline(in, line)) return false;
+  if (!line.empty() && line.back() == '\r') line.pop_back();
+  return true;
+}
+
+}  // namespace
 
 Status WriteAggregateCsv(const AggregateSpec& spec,
                          const data::Schema& schema,
@@ -31,7 +42,7 @@ Result<AggregateSpec> ReadAggregateCsv(data::Schema& schema,
   std::ifstream in(path);
   if (!in) return Status::IoError("cannot open '" + path + "' for read");
   std::string line;
-  if (!std::getline(in, line)) {
+  if (!GetLine(in, line)) {
     return Status::ParseError("empty aggregate file '" + path + "'");
   }
   std::vector<std::string> header = SplitCsvLine(line);
@@ -58,7 +69,7 @@ Result<AggregateSpec> ReadAggregateCsv(data::Schema& schema,
   spec.attrs = sorted;
 
   size_t line_no = 1;
-  while (std::getline(in, line)) {
+  while (GetLine(in, line)) {
     ++line_no;
     if (Trim(line).empty()) continue;
     std::vector<std::string> fields = SplitCsvLine(line);

@@ -10,6 +10,10 @@
 #include "data/table.h"
 #include "util/status.h"
 
+namespace themis::util {
+class ThreadPool;
+}  // namespace themis::util
+
 namespace themis::core {
 
 /// Timing/diagnostic record of a model build, used by the Table 8 / Fig 16
@@ -27,8 +31,9 @@ struct BuildStats {
   /// other reweighters.
   double reweight_max_violation = 0;
   size_t aggregates_used = 0;
-  /// Seconds in Table::Compact, summed over the sample and the raw sample
-  /// the BN learns from.
+  /// Seconds classifying the sample's rows (once) and compacting the
+  /// sample and the raw sample the BN learns from, summed; these stages
+  /// overlap reweighting in part (ThemisModel::Build).
   double compact_seconds = 0;
   /// Rows of the reweighted sample before and after compaction. The row
   /// count is also n, the draw size of the consensus rule that picks a
@@ -43,12 +48,17 @@ struct BuildStats {
 class ThemisModel {
  public:
   /// Runs the full build pipeline: infer |P| → prune Γ to the budget →
-  /// reweight S → keep one row per distinct tuple of S (Table::Compact) →
-  /// learn the BN. Nothing is sampled from the BN: point queries and
-  /// GROUP BYs both answer from exact inference on it (HybridEvaluator).
+  /// reweight S → keep one row per distinct tuple of S (Table::Compact).
+  /// The BN is learned from the raw sample, so it needs nothing from
+  /// reweighting: with a `pool` of two or more threads it is learned in a
+  /// pool task while the calling thread reweights; with none, or one
+  /// thread, the stages run in sequence. The model is bitwise the same
+  /// either way. Nothing is sampled from the BN: point queries and GROUP
+  /// BYs both answer from exact inference on it (HybridEvaluator).
   static Result<ThemisModel> Build(data::Table sample,
                                    aggregate::AggregateSet aggregates,
-                                   const ThemisOptions& options = {});
+                                   const ThemisOptions& options = {},
+                                   util::ThreadPool* pool = nullptr);
 
   const ThemisOptions& options() const { return options_; }
   double population_size() const { return population_size_; }

@@ -20,6 +20,19 @@ Table::Table(SchemaPtr schema, size_t num_rows, double weight)
   weights_.assign(num_rows, weight);
 }
 
+Table::Table(SchemaPtr schema, std::vector<std::vector<ValueCode>> columns,
+             std::vector<double> weights)
+    : schema_(std::move(schema)),
+      num_rows_(weights.size()),
+      columns_(std::move(columns)),
+      weights_(std::move(weights)) {
+  THEMIS_CHECK(schema_ != nullptr);
+  THEMIS_CHECK(columns_.size() == schema_->num_attributes());
+  for (const auto& column : columns_) {
+    THEMIS_CHECK(column.size() == num_rows_);
+  }
+}
+
 void Table::AppendRow(const std::vector<ValueCode>& codes) {
   THEMIS_CHECK(codes.size() == columns_.size())
       << "row arity " << codes.size() << " != schema arity "
@@ -96,15 +109,34 @@ Table Table::Clone() const {
 Table Table::Compact() const {
   std::vector<size_t> all(columns_.size());
   std::iota(all.begin(), all.end(), size_t{0});
-  const RowClasses classes = ClassifyRows(*this, all);
+  return Compact(ClassifyRows(*this, all));
+}
+
+Table Table::Compact(const RowClasses& classes) const {
+  Table out = ClassLeaders(classes);
+  for (size_t r = 0; r < num_rows_; ++r) {
+    out.weights_[classes.row_class[r]] += weights_[r];
+  }
+  return out;
+}
+
+Table Table::CompactCounts(const RowClasses& classes) const {
+  // Adding 1.0 count times gives count exactly (counts are below 2^32),
+  // so this equals Compact() of the unit-weight table bit for bit.
+  Table out = ClassLeaders(classes);
+  for (size_t c = 0; c < classes.num_classes(); ++c) {
+    out.weights_[c] = classes.count[c];
+  }
+  return out;
+}
+
+Table Table::ClassLeaders(const RowClasses& classes) const {
+  THEMIS_CHECK(classes.row_class.size() == num_rows_);
   Table out(schema_, classes.num_classes(), 0.0);
   for (size_t a = 0; a < columns_.size(); ++a) {
     for (size_t c = 0; c < classes.num_classes(); ++c) {
       out.columns_[a][c] = columns_[a][classes.first_row[c]];
     }
-  }
-  for (size_t r = 0; r < num_rows_; ++r) {
-    out.weights_[classes.row_class[r]] += weights_[r];
   }
   return out;
 }

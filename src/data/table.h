@@ -11,6 +11,8 @@
 
 namespace themis::data {
 
+struct RowClasses;
+
 /// In-memory columnar relation. Every row carries a weight (default 1.0)
 /// so reweighted samples and uniformly-scaled samples are queried
 /// identically: COUNT(*) over the population becomes SUM(weight) over the
@@ -22,6 +24,12 @@ class Table {
   /// A table of `num_rows` rows, every code 0 and every weight `weight`,
   /// for writers that fill the columns in place (mutable_column).
   Table(SchemaPtr schema, size_t num_rows, double weight);
+
+  /// A table over the given code columns ([attr][row], one per attribute,
+  /// all as long as `weights`), for readers that build the columns
+  /// themselves.
+  Table(SchemaPtr schema, std::vector<std::vector<ValueCode>> columns,
+        std::vector<double> weights);
 
   const SchemaPtr& schema() const { return schema_; }
   size_t num_rows() const { return num_rows_; }
@@ -93,7 +101,19 @@ class Table {
   /// rounding. Compacting a compacted table leaves it unchanged.
   Table Compact() const;
 
+  /// Compact() given `classes`: ClassifyRows over every attribute of this
+  /// table, or of any table with the same codes.
+  Table Compact(const RowClasses& classes) const;
+
+  /// Compact() of this table with every weight 1, given `classes` as
+  /// above: each row weighs its class's row count. Reads only the codes,
+  /// so it may run while another thread writes this table's weights.
+  Table CompactCounts(const RowClasses& classes) const;
+
  private:
+  /// One row per class, holding the codes of its first row; weights 0.
+  Table ClassLeaders(const RowClasses& classes) const;
+
   SchemaPtr schema_;
   size_t num_rows_ = 0;
   std::vector<std::vector<ValueCode>> columns_;  // [attr][row]

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "data/row_classes.h"
 #include "reweight/incidence.h"
@@ -37,18 +38,39 @@ Status IpfReweighter::Reweight(data::Table& sample,
   for (uint32_t r : classes.first_row) first_row[r] = true;
   const IncidenceSystem sys =
       BuildIncidence(sample.Filter(first_row), aggregates);
-  const std::vector<double> count(classes.count.begin(), classes.count.end());
-  std::vector<double> w(count.size(), 1.0);
+  // The sweeps read 32-bit class indices (ClassifyRows numbers fewer than
+  // 2^32 classes), with each class's count stored next to its weight: half
+  // the index bytes of the incidence matrix, and one cache line per class
+  // touched. The arithmetic and its order are unchanged, and so are the
+  // weights, bit for bit.
+  struct ClassWeight {
+    double count;
+    double w;
+  };
+  std::vector<ClassWeight> cw(classes.num_classes());
+  for (size_t c = 0; c < cw.size(); ++c) {
+    cw[c] = {static_cast<double>(classes.count[c]), 1.0};
+  }
+  std::vector<size_t> row_begin(sys.g.rows() + 1, 0);
+  std::vector<uint32_t> members;
+  for (size_t j = 0; j < sys.g.rows(); ++j) {
+    for (size_t c : sys.g.Row(j)) members.push_back(static_cast<uint32_t>(c));
+    row_begin[j + 1] = members.size();
+  }
+  auto participants = [&](size_t j) {
+    return std::span<const uint32_t>(members.data() + row_begin[j],
+                                     members.data() + row_begin[j + 1]);
+  };
 
   auto row_sum = [&](size_t j) {
     double s = 0;
-    for (size_t c : sys.g.Row(j)) s += count[c] * w[c];
+    for (uint32_t c : participants(j)) s += cw[c].count * cw[c].w;
     return s;
   };
   auto max_relative_violation = [&]() {
     double worst = 0;
     for (size_t j = 0; j < sys.g.rows(); ++j) {
-      if (sys.g.Row(j).empty()) continue;  // unsatisfiable: no participants
+      if (participants(j).empty()) continue;  // unsatisfiable: no participants
       const double got = row_sum(j);
       const double want = sys.y[j];
       worst = std::max(worst,
@@ -59,14 +81,13 @@ Status IpfReweighter::Reweight(data::Table& sample,
 
   for (int iter = 0; iter < options_.max_iterations; ++iter) {
     for (size_t j = 0; j < sys.g.rows(); ++j) {
-      auto participants = sys.g.Row(j);
-      if (participants.empty()) continue;
+      if (participants(j).empty()) continue;
       const double got = row_sum(j);
       const double want = sys.y[j];
       if (got == want) continue;
       if (got <= 0.0) continue;  // weights already driven to zero
       const double s = want / got;
-      for (size_t c : participants) w[c] *= s;
+      for (uint32_t c : participants(j)) cw[c].w *= s;
     }
     stats_.iterations = iter + 1;
     stats_.max_violation = max_relative_violation();
@@ -78,7 +99,7 @@ Status IpfReweighter::Reweight(data::Table& sample,
 
   std::vector<double>& row_weights = sample.mutable_weights();
   for (size_t r = 0; r < sample.num_rows(); ++r) {
-    row_weights[r] = w[classes.row_class[r]];
+    row_weights[r] = cw[classes.row_class[r]].w;
   }
   if (options_.sum_normalize) SumNormalize(sample, population_size);
   return Status::OK();

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -241,6 +242,22 @@ void AppendEscaped(const std::string& s, std::string* out) {
   out->push_back('"');
 }
 
+/// A number as printf's %.17g prints it, which round-trips every double:
+/// std::to_chars in general format at precision 17 is specified to print
+/// the same. JSON has no NaN/Infinity literal; non-finite values dump as
+/// null and decode back to NaN.
+void AppendNumber(double v, std::string* out) {
+  if (!std::isfinite(v)) {
+    out->append("null");
+    return;
+  }
+  char buffer[32];  // %.17g needs at most 24
+  char* end = std::to_chars(buffer, buffer + sizeof(buffer), v,
+                            std::chars_format::general, 17)
+                  .ptr;
+  out->append(buffer, end);
+}
+
 void DumpTo(const JsonValue& value, std::string* out) {
   switch (value.kind()) {
     case JsonValue::Kind::kNull:
@@ -249,17 +266,9 @@ void DumpTo(const JsonValue& value, std::string* out) {
     case JsonValue::Kind::kBool:
       out->append(value.bool_value() ? "true" : "false");
       break;
-    case JsonValue::Kind::kNumber: {
-      const double v = value.number_value();
-      // JSON has no NaN/Infinity literal; non-finite values dump as null
-      // and decode back to NaN.
-      if (!std::isfinite(v)) {
-        out->append("null");
-      } else {
-        out->append(StrFormat("%.17g", v));
-      }
+    case JsonValue::Kind::kNumber:
+      AppendNumber(value.number_value(), out);
       break;
-    }
     case JsonValue::Kind::kString:
       AppendEscaped(value.string_value(), out);
       break;
@@ -292,29 +301,40 @@ void DumpTo(const JsonValue& value, std::string* out) {
 
 // --- QueryResult <-> JSON ---------------------------------------------
 
-JsonValue NamesToJson(const std::vector<std::string>& names) {
-  JsonValue array = JsonValue::Array();
-  for (const std::string& name : names) {
-    array.Append(JsonValue::String(name));
+// Results are written straight into the response bytes, with no JsonValue
+// tree: the same bytes DumpTo writes for the tree
+//   {"group_names":[...],"rows":[{"group":[...],"values":[...]},...],
+//    "value_names":[...]}
+// (object keys in std::map order).
+
+void AppendNames(const std::vector<std::string>& names, std::string* out) {
+  out->push_back('[');
+  for (size_t i = 0; i < names.size(); ++i) {
+    if (i > 0) out->push_back(',');
+    AppendEscaped(names[i], out);
   }
-  return array;
+  out->push_back(']');
 }
 
-JsonValue ResultToJson(const sql::QueryResult& result) {
-  JsonValue object = JsonValue::Object();
-  object.Set("group_names", NamesToJson(result.group_names));
-  object.Set("value_names", NamesToJson(result.value_names));
-  JsonValue rows = JsonValue::Array();
-  for (const sql::ResultRow& row : result.rows) {
-    JsonValue row_json = JsonValue::Object();
-    row_json.Set("group", NamesToJson(row.group));
-    JsonValue values = JsonValue::Array();
-    for (const double v : row.values) values.Append(JsonValue::Number(v));
-    row_json.Set("values", std::move(values));
-    rows.Append(std::move(row_json));
+void AppendResult(const sql::QueryResult& result, std::string* out) {
+  out->append("{\"group_names\":");
+  AppendNames(result.group_names, out);
+  out->append(",\"rows\":[");
+  for (size_t r = 0; r < result.rows.size(); ++r) {
+    if (r > 0) out->push_back(',');
+    const sql::ResultRow& row = result.rows[r];
+    out->append("{\"group\":");
+    AppendNames(row.group, out);
+    out->append(",\"values\":[");
+    for (size_t i = 0; i < row.values.size(); ++i) {
+      if (i > 0) out->push_back(',');
+      AppendNumber(row.values[i], out);
+    }
+    out->append("]}");
   }
-  object.Set("rows", std::move(rows));
-  return object;
+  out->append("],\"value_names\":");
+  AppendNames(result.value_names, out);
+  out->push_back('}');
 }
 
 Result<std::vector<std::string>> NamesFromJson(const JsonValue* array,
@@ -914,13 +934,12 @@ size_t EstimateResultResponseBytes(const sql::QueryResult& result) {
 
 void EncodeResultResponseTo(const sql::QueryResult& result,
                             std::string* out) {
-  JsonValue response = JsonValue::Object();
-  response.Set("status", JsonValue::String("OK"));
-  response.Set("result", ResultToJson(result));
   out->clear();
   const size_t estimate = EstimateResultResponseBytes(result);
   if (out->capacity() < estimate) out->reserve(estimate);
-  DumpTo(response, out);
+  out->append("{\"result\":");
+  AppendResult(result, out);
+  out->append(",\"status\":\"OK\"}");
 }
 
 std::string EncodeResultResponse(const sql::QueryResult& result) {
@@ -937,14 +956,13 @@ std::string EncodeOkResponse() {
 
 std::string EncodeBatchResponse(
     const std::vector<sql::QueryResult>& results) {
-  JsonValue response = JsonValue::Object();
-  response.Set("status", JsonValue::String("OK"));
-  JsonValue array = JsonValue::Array();
-  for (const sql::QueryResult& result : results) {
-    array.Append(ResultToJson(result));
+  std::string out = "{\"results\":[";
+  for (size_t i = 0; i < results.size(); ++i) {
+    if (i > 0) out.push_back(',');
+    AppendResult(results[i], &out);
   }
-  response.Set("results", std::move(array));
-  return response.Dump();
+  out.append("],\"status\":\"OK\"}");
+  return out;
 }
 
 std::string EncodeStatsResponse(const ServerStats& stats) {

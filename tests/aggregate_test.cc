@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <set>
 
 #include "aggregate/aggregate.h"
+#include "aggregate/aggregate_io.h"
 #include "aggregate/pruning.h"
 #include "workload/child.h"
 #include "workload/experiment.h"
@@ -59,6 +63,28 @@ TEST(AggregateTest, PerturbKeepsNonNegative) {
   Rng rng(1);
   PerturbAggregate(spec, 0.5, rng);
   for (const auto& [k, c] : spec.groups) EXPECT_GE(c, 0.0);
+}
+
+// A CRLF aggregate file reads like its LF twin: the same groups, and no
+// '\r' in a field an error message quotes.
+TEST(AggregateIoTest, CrlfReadsLikeLf) {
+  const std::string path = std::filesystem::temp_directory_path() /
+                           "themis_agg_crlf.csv";
+  auto read = [&](const std::string& text) {
+    std::ofstream(path, std::ios::binary) << text;
+    data::Schema schema;
+    schema.AddAttribute("state");
+    return ReadAggregateCsv(schema, path);
+  };
+  auto lf = read("state,count\nCA,3\nNY,4\n");
+  auto crlf = read("state,count\r\nCA,3\r\nNY,4\r\n");
+  ASSERT_TRUE(lf.ok() && crlf.ok());
+  EXPECT_EQ(crlf->attrs, lf->attrs);
+  EXPECT_EQ(crlf->groups, lf->groups);
+  auto bad = read("state,count\r\nCA,3\r\nNY,abc\r\n");
+  EXPECT_EQ(bad.status().message(),
+            "'" + path + "' line 3: bad count 'abc'");
+  std::remove(path.c_str());
 }
 
 TEST(AggregateSetTest, CoveredAttributesAndTotalGroups) {

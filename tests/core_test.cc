@@ -3,20 +3,29 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <set>
 #include <thread>
 
+#include "aggregate/aggregate_io.h"
 #include "aggregate/pruning.h"
 #include "bn/inference.h"
 #include "bn/learn.h"
 #include "core/evaluator.h"
 #include "core/model.h"
 #include "core/themis_db.h"
+#include "data/csv.h"
+#include "data/row_classes.h"
+#include "reweight/incidence.h"
 #include "reweight/ipf.h"
 #include "sql/executor.h"
 #include "sql/parser.h"
 #include "stats/metrics.h"
+#include "util/string_util.h"
 #include "util/thread_pool.h"
 #include "workload/experiment.h"
 #include "workload/flights.h"
@@ -424,6 +433,201 @@ TEST_F(CompactedFlightsTest, BnFromCompactedSampleIsBitwiseTheRowLevelOne) {
   auto model = ThemisModel::Build(sample_->Clone(), aggregates_);
   ASSERT_TRUE(model.ok());
   ExpectSameNetwork(*model->network(), *from_rows);
+}
+
+/// True when `a` and `b` hold the same doubles bit for bit.
+bool Bitwise(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// IPF over distinct-tuple classes with its sweeps over the incidence
+/// matrix's own size_t indices and separate count and weight arrays: the
+/// row weights IpfReweighter must give bit for bit.
+std::vector<double> ReferenceIpfRowWeights(
+    const data::Table& sample, const aggregate::AggregateSet& aggregates,
+    const reweight::IpfOptions& options) {
+  const data::RowClasses classes =
+      data::ClassifyRows(sample, aggregates.CoveredAttributes());
+  std::vector<bool> first_row(sample.num_rows(), false);
+  for (uint32_t r : classes.first_row) first_row[r] = true;
+  const reweight::IncidenceSystem sys =
+      reweight::BuildIncidence(sample.Filter(first_row), aggregates);
+  const std::vector<double> count(classes.count.begin(), classes.count.end());
+  std::vector<double> w(count.size(), 1.0);
+  auto row_sum = [&](size_t j) {
+    double s = 0;
+    for (size_t c : sys.g.Row(j)) s += count[c] * w[c];
+    return s;
+  };
+  for (int iter = 0; iter < options.max_iterations; ++iter) {
+    for (size_t j = 0; j < sys.g.rows(); ++j) {
+      if (sys.g.Row(j).empty()) continue;
+      const double got = row_sum(j);
+      if (got == sys.y[j] || got <= 0.0) continue;
+      const double s = sys.y[j] / got;
+      for (size_t c : sys.g.Row(j)) w[c] *= s;
+    }
+    double worst = 0;
+    for (size_t j = 0; j < sys.g.rows(); ++j) {
+      if (sys.g.Row(j).empty()) continue;
+      worst = std::max(worst, std::abs(row_sum(j) - sys.y[j]) /
+                                  std::max(1.0, std::abs(sys.y[j])));
+    }
+    if (worst <= options.tolerance) break;
+  }
+  std::vector<double> row_weights(sample.num_rows());
+  for (size_t r = 0; r < sample.num_rows(); ++r) {
+    row_weights[r] = w[classes.row_class[r]];
+  }
+  return row_weights;
+}
+
+/// The model a build returns against its stages run one at a time: IPF's
+/// row weights, the compacted reweighted sample, and the BN learned from
+/// the compacted raw sample, all bit for bit.
+void ExpectBuildMatchesStages(const ThemisModel& model,
+                              const data::Table& sample,
+                              const aggregate::AggregateSet& aggregates) {
+  const ThemisOptions& options = model.options();
+  data::Table reweighted = sample.Clone();
+  reweight::IpfReweighter ipf(options.ipf);
+  ASSERT_TRUE(
+      ipf.Reweight(reweighted, aggregates, model.population_size()).ok());
+  EXPECT_TRUE(Bitwise(reweighted.weights(),
+                      ReferenceIpfRowWeights(sample, aggregates, options.ipf)));
+  const data::Table compacted = reweighted.Compact();
+  const data::Table& got = model.reweighted_sample();
+  ASSERT_EQ(got.num_rows(), compacted.num_rows());
+  for (size_t a = 0; a < got.num_attributes(); ++a) {
+    EXPECT_EQ(got.column(a), compacted.column(a)) << "attribute " << a;
+  }
+  EXPECT_TRUE(Bitwise(got.weights(), compacted.weights()));
+
+  data::Table raw = sample.Clone();
+  raw.FillWeights(1.0);
+  raw = raw.Compact();
+  auto network =
+      bn::LearnBayesNet(raw.schema(), &raw, &aggregates, options.bn);
+  ASSERT_TRUE(network.ok());
+  ASSERT_NE(model.network(), nullptr);
+  ExpectSameNetwork(*model.network(), *network);
+  for (size_t v = 0; v < network->num_nodes(); ++v) {
+    EXPECT_TRUE(Bitwise(model.network()->cpt(v).flat(),
+                        network->cpt(v).flat()))
+        << "node " << v;
+  }
+}
+
+// The BN is learned in a pool task while IPF runs on the calling thread
+// (two or more threads), or after it (no pool, one thread). The model is
+// bitwise the same in every case. TSan runs this suite.
+TEST_F(CompactedFlightsTest, BuildIsBitwiseTheSameAtEveryPoolSize) {
+  const size_t hw = std::max(1u, std::thread::hardware_concurrency());
+  std::vector<std::unique_ptr<util::ThreadPool>> pools;
+  pools.push_back(nullptr);
+  for (size_t threads : {size_t{1}, size_t{2}, hw}) {
+    pools.push_back(std::make_unique<util::ThreadPool>(threads));
+  }
+  for (const auto& pool : pools) {
+    SCOPED_TRACE(pool == nullptr ? 0 : pool->num_threads());
+    auto model =
+        ThemisModel::Build(sample_->Clone(), aggregates_, {}, pool.get());
+    ASSERT_TRUE(model.ok()) << model.status().ToString();
+    EXPECT_EQ(model->build_stats().sample_rows, sample_->num_rows());
+    ExpectBuildMatchesStages(*model, *sample_, aggregates_);
+  }
+}
+
+// A sample and aggregates written with CRLF line ends read as the LF
+// files do: the same codes, so the same model. A trailing '\r' once
+// stayed on the last column's labels ("CA\r"), while the aggregate reader
+// trimmed it, so the aggregate covered none of the sample's tuples.
+TEST_F(CompactedFlightsTest, CrlfFilesBuildTheLfModel) {
+  const std::string dir = std::filesystem::temp_directory_path();
+  const data::Schema& schema = *sample_->schema();
+  auto write = [](const std::string& path, const std::string& text) {
+    std::ofstream(path, std::ios::binary) << text;
+  };
+  auto to_crlf = [](const std::string& text) {
+    std::string out;
+    for (const char c : text) out += c == '\n' ? "\r\n" : std::string(1, c);
+    return out;
+  };
+  // The sample without a weight column, so a label is the line's last
+  // field; the aggregate as WriteAggregateCsv writes it.
+  std::string sample_text;
+  for (size_t a = 0; a < schema.num_attributes(); ++a) {
+    if (a > 0) sample_text += ',';
+    sample_text += CsvEscape(schema.attribute_name(a));
+  }
+  sample_text += "\n";
+  for (size_t r = 0; r < sample_->num_rows(); ++r) {
+    for (size_t a = 0; a < schema.num_attributes(); ++a) {
+      if (a > 0) sample_text += ',';
+      sample_text += CsvEscape(schema.domain(a).Label(sample_->Get(r, a)));
+    }
+    sample_text += "\n";
+  }
+  const std::string agg_lf = dir + "/themis_crlf_test_agg.csv";
+  std::vector<std::string> agg_texts;
+  for (const auto& spec : aggregates_.specs()) {
+    ASSERT_TRUE(aggregate::WriteAggregateCsv(spec, *population_->schema(),
+                                             agg_lf)
+                    .ok());
+    std::ifstream in(agg_lf, std::ios::binary);
+    agg_texts.emplace_back(std::istreambuf_iterator<char>(in),
+                           std::istreambuf_iterator<char>());
+  }
+
+  struct Loaded {
+    data::Table sample;
+    aggregate::AggregateSet aggregates;
+  };
+  auto load = [&](bool crlf) -> Loaded {
+    const std::string sample_path = dir + "/themis_crlf_test_sample.csv";
+    write(sample_path, crlf ? to_crlf(sample_text) : sample_text);
+    auto sample = data::ReadCsv(sample_path);
+    EXPECT_TRUE(sample.ok());
+    aggregate::AggregateSet aggregates(sample->schema());
+    for (const std::string& text : agg_texts) {
+      write(agg_lf, crlf ? to_crlf(text) : text);
+      auto spec = aggregate::ReadAggregateCsv(*sample->schema(), agg_lf);
+      EXPECT_TRUE(spec.ok());
+      aggregates.Add(std::move(spec).value());
+    }
+    std::remove(sample_path.c_str());
+    return {std::move(sample).value(), std::move(aggregates)};
+  };
+  const Loaded lf = load(false);
+  const Loaded crlf = load(true);
+  std::remove(agg_lf.c_str());
+
+  const data::Schema& lf_schema = *lf.sample.schema();
+  const data::Schema& crlf_schema = *crlf.sample.schema();
+  ASSERT_EQ(crlf_schema.num_attributes(), lf_schema.num_attributes());
+  for (size_t a = 0; a < lf_schema.num_attributes(); ++a) {
+    EXPECT_EQ(crlf_schema.attribute_name(a), lf_schema.attribute_name(a));
+    EXPECT_EQ(crlf_schema.domain(a).labels(), lf_schema.domain(a).labels());
+    EXPECT_EQ(crlf.sample.column(a), lf.sample.column(a));
+  }
+  ASSERT_EQ(crlf.aggregates.size(), lf.aggregates.size());
+  for (size_t i = 0; i < lf.aggregates.size(); ++i) {
+    EXPECT_EQ(crlf.aggregates.specs()[i].attrs, lf.aggregates.specs()[i].attrs);
+    EXPECT_EQ(crlf.aggregates.specs()[i].groups,
+              lf.aggregates.specs()[i].groups);
+  }
+  auto lf_model = ThemisModel::Build(lf.sample.Clone(), lf.aggregates);
+  auto crlf_model = ThemisModel::Build(crlf.sample.Clone(), crlf.aggregates);
+  ASSERT_TRUE(lf_model.ok() && crlf_model.ok());
+  const data::Table& a = lf_model->reweighted_sample();
+  const data::Table& b = crlf_model->reweighted_sample();
+  ASSERT_EQ(b.num_rows(), a.num_rows());
+  for (size_t attr = 0; attr < a.num_attributes(); ++attr) {
+    EXPECT_EQ(b.column(attr), a.column(attr));
+  }
+  EXPECT_TRUE(Bitwise(b.weights(), a.weights()));
+  ExpectSameNetwork(*crlf_model->network(), *lf_model->network());
 }
 
 /// Same groups, and every value within 1e-12 relative.

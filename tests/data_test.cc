@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <random>
 #include <unordered_map>
 
@@ -11,6 +14,7 @@
 #include "data/row_classes.h"
 #include "data/schema.h"
 #include "data/table.h"
+#include "util/string_util.h"
 
 namespace themis::data {
 namespace {
@@ -302,6 +306,227 @@ TEST(CsvTest, RaggedRowFails) {
   }
   EXPECT_FALSE(ReadCsv(path).ok());
   std::remove(path.c_str());
+}
+
+/// The line-by-line reader ReadCsv replaced: std::getline, SplitCsvLine,
+/// Table::AppendRowLabels and strtod on every row.
+Result<Table> ReferenceReadCsv(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) return Status::IoError("cannot open '" + path + "' for read");
+  std::string line;
+  if (!std::getline(in, line)) {
+    return Status::ParseError("empty CSV file '" + path + "'");
+  }
+  std::vector<std::string> header = SplitCsvLine(line);
+  bool has_weight = !header.empty() && header.back() == "weight";
+  size_t num_attrs = has_weight ? header.size() - 1 : header.size();
+  if (num_attrs == 0) {
+    return Status::ParseError("CSV '" + path + "' has no attribute columns");
+  }
+  auto schema = std::make_shared<Schema>();
+  for (size_t a = 0; a < num_attrs; ++a) {
+    schema->AddAttribute(std::string(Trim(header[a])));
+  }
+  Table table(schema);
+  size_t line_no = 1;
+  while (std::getline(in, line)) {
+    ++line_no;
+    if (Trim(line).empty()) continue;
+    std::vector<std::string> fields = SplitCsvLine(line);
+    if (fields.size() != header.size()) {
+      return Status::ParseError(StrFormat(
+          "CSV '%s' line %zu: expected %zu fields, got %zu", path.c_str(),
+          line_no, header.size(), fields.size()));
+    }
+    std::vector<std::string> labels(fields.begin(),
+                                    fields.begin() + num_attrs);
+    table.AppendRowLabels(labels);
+    if (has_weight) {
+      char* end = nullptr;
+      double w = std::strtod(fields.back().c_str(), &end);
+      if (end == fields.back().c_str()) {
+        return Status::ParseError(
+            StrFormat("CSV '%s' line %zu: bad weight '%s'", path.c_str(),
+                      line_no, fields.back().c_str()));
+      }
+      table.set_weight(table.num_rows() - 1, w);
+    }
+  }
+  return table;
+}
+
+void WriteFile(const std::string& path, const std::string& text) {
+  std::ofstream out(path, std::ios::binary);
+  out << text;
+}
+
+/// Codes, domains (labels in code order), attribute names and weights,
+/// bit for bit; or the same error.
+void ExpectSameRead(const std::string& path) {
+  const Result<Table> got = ReadCsv(path);
+  const Result<Table> want = ReferenceReadCsv(path);
+  ASSERT_EQ(got.ok(), want.ok()) << got.status().ToString() << " vs "
+                                 << want.status().ToString();
+  if (!want.ok()) {
+    EXPECT_EQ(got.status().ToString(), want.status().ToString());
+    return;
+  }
+  const Schema& gs = *got->schema();
+  const Schema& ws = *want->schema();
+  ASSERT_EQ(gs.num_attributes(), ws.num_attributes());
+  ASSERT_EQ(got->num_rows(), want->num_rows());
+  for (size_t a = 0; a < ws.num_attributes(); ++a) {
+    EXPECT_EQ(gs.attribute_name(a), ws.attribute_name(a));
+    EXPECT_EQ(gs.domain(a).labels(), ws.domain(a).labels());
+    EXPECT_EQ(got->column(a), want->column(a));
+  }
+  ASSERT_EQ(got->weights().size(), want->weights().size());
+  for (size_t r = 0; r < want->num_rows(); ++r) {
+    const double g = got->weight(r);
+    const double w = want->weight(r);
+    EXPECT_EQ(std::memcmp(&g, &w, sizeof(double)), 0)
+        << "row " << r << ": " << g << " vs " << w;
+  }
+}
+
+/// A seeded CSV: quoted labels with commas, `""` escapes, quotes inside
+/// fields, empty fields, untrimmed labels, blank and whitespace-only
+/// lines, numeric weights in several spellings, and — when `faults` — bad
+/// weights, unclosed quotes and wrong field counts.
+std::string RandomCsv(std::mt19937_64& rng, size_t rows, bool faults) {
+  static const char* kLabels[] = {
+      "NY", "CA", "\"[30,60)\"", "\"[0,30)\"", "", " a", "b ", "\"\"",
+      "\"say \"\"hi\"\"\"", "x\"y\"z", "\\\\", "\"\"\"lead\"", "01",
+      "\"NY\"", "caf\xc3\xa9", "\t", "\"q\"r"};
+  // Each of these changes the line's field count.
+  static const char* kFaultLabels[] = {"\"a,b\",", "\"open", "1,5"};
+  static const char* kWeights[] = {"1",    "2.5",   "1e-3", " 3",  "0x1p3",
+                                   "7abc", "-0",    "0",    "4.",  ".5",
+                                   "1e400", "1e-400", "+2", "inf", "\"6\""};
+  const size_t num_attrs = 1 + rng() % 4;
+  const bool has_weight = rng() % 3 != 0;
+  std::string text;
+  for (size_t a = 0; a < num_attrs; ++a) {
+    if (a > 0) text += ',';
+    const bool padded = rng() % 5 == 0;
+    if (padded) text += ' ';
+    text += 'c';
+    text += std::to_string(a);
+    if (padded) text += ' ';
+  }
+  text += has_weight ? ",weight\n" : "\n";
+  const size_t label_pool = 4 + rng() % (std::size(kLabels) - 4);
+  for (size_t r = 0; r < rows; ++r) {
+    const uint64_t kind = rng() % 40;
+    if (kind == 0) {
+      text += "\n";
+      continue;
+    }
+    if (kind == 1) {
+      text += "   \n";
+      continue;
+    }
+    size_t fields = num_attrs;
+    if (faults && rng() % 200 == 0) fields += rng() % 2 == 0 ? 1 : -1;
+    for (size_t a = 0; a < fields; ++a) {
+      if (a > 0) text += ",";
+      text += faults && rng() % 100 == 0
+                  ? kFaultLabels[rng() % std::size(kFaultLabels)]
+                  : kLabels[rng() % label_pool];
+    }
+    if (has_weight) {
+      text += ",";
+      text += faults && rng() % 300 == 0 ? "bad"
+                                         : kWeights[rng() % std::size(kWeights)];
+    }
+    text += "\n";
+  }
+  if (rng() % 2 == 0 && !text.empty()) text.pop_back();  // no final newline
+  return text;
+}
+
+TEST(CsvTest, StreamedReaderMatchesLineReader) {
+  const std::string path = std::filesystem::temp_directory_path() /
+                           "themis_csv_diff.csv";
+  std::mt19937_64 rng(20261020);
+  for (int file = 0; file < 200; ++file) {
+    SCOPED_TRACE("file " + std::to_string(file));
+    WriteFile(path, RandomCsv(rng, 1 + rng() % 60, file % 2 == 1));
+    ExpectSameRead(path);
+  }
+  // Lines cross the reader's block boundaries, and one line is longer
+  // than a block.
+  std::string big = RandomCsv(rng, 30000, false);
+  WriteFile(path, big);
+  ExpectSameRead(path);
+  big.replace(big.find("NY"), 2, std::string(200000, 'x'));
+  WriteFile(path, big);
+  ExpectSameRead(path);
+  std::remove(path.c_str());
+}
+
+TEST(CsvTest, EdgeCasesMatchLineReader) {
+  const std::string path = std::filesystem::temp_directory_path() /
+                           "themis_csv_edge.csv";
+  const char* kFiles[] = {
+      "",
+      "\n",
+      "weight\n1\n",
+      "a,weight\nx,1",
+      "a,weight\nx,1\n\n   \n",
+      "a,b\n\"[30,60)\",\"[0,200)\"\n\"[30,60)\",2\n",
+      "a,b,weight\n1,2,1\n1\n",
+      "a,b,weight\n1,2,3,4\n",
+      "a,weight\nx,\n",
+      "a,weight\nx,abc\n",
+      "a,weight\n\"x\"\"y\",1\n\"x\"\"y\",2\n",
+      "a,b\n,\n,x\n\"\",\"\"\n",
+      "\"a,b\",c\n1,2\n",
+  };
+  for (const char* text : kFiles) {
+    SCOPED_TRACE(text);
+    WriteFile(path, text);
+    ExpectSameRead(path);
+  }
+  WriteFile(path, "a,weight\nx,abc\n");
+  EXPECT_EQ(ReadCsv(path).status().message(),
+            "CSV '" + path + "' line 2: bad weight 'abc'");
+  WriteFile(path, "a,b\n1,2\n\n1\n");
+  EXPECT_EQ(ReadCsv(path).status().message(),
+            "CSV '" + path + "' line 4: expected 2 fields, got 1");
+  std::remove(path.c_str());
+}
+
+TEST(CsvTest, CrlfReadsLikeLf) {
+  const std::string lf = std::filesystem::temp_directory_path() /
+                         "themis_csv_lf.csv";
+  const std::string crlf = std::filesystem::temp_directory_path() /
+                           "themis_csv_crlf.csv";
+  for (const bool weight : {false, true}) {
+    const std::string text =
+        weight ? "state,dist,weight\nCA,\"[0,30)\",2\nNY,\"[30,60)\",1\n"
+                 "CA,\"[30,60)\",0.5\n"
+               : "state,dist\nCA,\"[0,30)\"\nNY,\"[30,60)\"\nCA,\"[30,60)\"\n";
+    std::string crlf_text;
+    for (const char c : text) crlf_text += c == '\n' ? "\r\n" : std::string(1, c);
+    WriteFile(lf, text);
+    WriteFile(crlf, crlf_text);
+    auto a = ReadCsv(lf);
+    auto b = ReadCsv(crlf);
+    ASSERT_TRUE(a.ok() && b.ok());
+    ASSERT_EQ(b->num_attributes(), 2u);
+    for (size_t attr = 0; attr < 2; ++attr) {
+      EXPECT_EQ(b->schema()->attribute_name(attr),
+                a->schema()->attribute_name(attr));
+      EXPECT_EQ(b->schema()->domain(attr).labels(),
+                a->schema()->domain(attr).labels());
+      EXPECT_EQ(b->column(attr), a->column(attr));
+    }
+    EXPECT_EQ(b->weights(), a->weights());
+    EXPECT_EQ(b->schema()->domain(0).Label(b->Get(0, 0)), "CA");
+  }
+  std::remove(lf.c_str());
+  std::remove(crlf.c_str());
 }
 
 }  // namespace

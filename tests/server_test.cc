@@ -10,8 +10,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <future>
+#include <iterator>
+#include <limits>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -1338,6 +1344,153 @@ TEST(WireTest, JsonRoundTrip) {
   auto back = JsonValue::Parse(number.Dump());
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->number_value(), awkward);
+}
+
+/// A response encoded through a JsonValue tree: the encoder the streamed
+/// result encoders replaced, and whose bytes they must write.
+JsonValue NamesTree(const std::vector<std::string>& names) {
+  JsonValue array = JsonValue::Array();
+  for (const std::string& name : names) array.Append(JsonValue::String(name));
+  return array;
+}
+
+JsonValue ResultTree(const sql::QueryResult& result) {
+  JsonValue object = JsonValue::Object();
+  object.Set("group_names", NamesTree(result.group_names));
+  object.Set("value_names", NamesTree(result.value_names));
+  JsonValue rows = JsonValue::Array();
+  for (const sql::ResultRow& row : result.rows) {
+    JsonValue row_json = JsonValue::Object();
+    row_json.Set("group", NamesTree(row.group));
+    JsonValue values = JsonValue::Array();
+    for (const double v : row.values) values.Append(JsonValue::Number(v));
+    row_json.Set("values", std::move(values));
+    rows.Append(std::move(row_json));
+  }
+  object.Set("rows", std::move(rows));
+  return object;
+}
+
+std::string TreeResultResponse(const sql::QueryResult& result) {
+  JsonValue response = JsonValue::Object();
+  response.Set("status", JsonValue::String("OK"));
+  response.Set("result", ResultTree(result));
+  return response.Dump();
+}
+
+std::string TreeBatchResponse(const std::vector<sql::QueryResult>& results) {
+  JsonValue response = JsonValue::Object();
+  response.Set("status", JsonValue::String("OK"));
+  JsonValue array = JsonValue::Array();
+  for (const sql::QueryResult& result : results) {
+    array.Append(ResultTree(result));
+  }
+  response.Set("results", std::move(array));
+  return response.Dump();
+}
+
+/// A seeded result: labels with quotes, backslashes, control characters
+/// and UTF-8; values from the doubles %.17g prints most awkwardly
+/// (non-finite, signed zero, denormals, extremes, exponent boundaries) and
+/// random bit patterns.
+sql::QueryResult RandomResult(std::mt19937_64& rng) {
+  static const double kInf = std::numeric_limits<double>::infinity();
+  static const double kValues[] = {
+      std::numeric_limits<double>::quiet_NaN(), kInf, -kInf, 0.0, -0.0,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(), 2.2250738585072009e-308,
+      std::numeric_limits<double>::min(), 1e308,
+      std::numeric_limits<double>::max(), -std::numeric_limits<double>::max(),
+      0.1, 0.1 + 0.2, 1.0 / 3, 1e16, 1e17, 123456789012345678.0, 1e-4,
+      1e-5, 99999999999999999.0, 1e21, 1e22, 5e-324, 1.0, -1.0, 42.0,
+      4.5e15, 0.30000000000000004};
+  static const char* kLabels[] = {"CA", "", "[30,60)", "say \"hi\"",
+                                  "back\\slash", "tab\there", "new\nline",
+                                  "cr\r", "\x01\x1f", "caf\xc3\xa9", "\x7f"};
+  auto label = [&] {
+    std::string out = kLabels[rng() % std::size(kLabels)];
+    if (rng() % 4 == 0) out += static_cast<char>(rng() % 128);
+    return out;
+  };
+  auto value = [&] {
+    switch (rng() % 3) {
+      case 0:
+        return kValues[rng() % std::size(kValues)];
+      case 1: {
+        const uint64_t bits = rng();
+        double v;
+        std::memcpy(&v, &bits, sizeof(v));
+        return v;
+      }
+      default:
+        return std::uniform_real_distribution<double>(-1e6, 1e6)(rng);
+    }
+  };
+  sql::QueryResult result;
+  const size_t num_groups = rng() % 3;
+  const size_t num_values = 1 + rng() % 3;
+  for (size_t i = 0; i < num_groups; ++i) result.group_names.push_back(label());
+  for (size_t i = 0; i < num_values; ++i) result.value_names.push_back(label());
+  const size_t rows = rng() % 4 == 0 ? 0 : rng() % 60;
+  for (size_t r = 0; r < rows; ++r) {
+    sql::ResultRow row;
+    for (size_t i = 0; i < num_groups; ++i) row.group.push_back(label());
+    for (size_t i = 0; i < num_values; ++i) row.values.push_back(value());
+    result.rows.push_back(std::move(row));
+  }
+  return result;
+}
+
+/// printf's %.17g spelling of a JSON number; null when not finite.
+std::string PrintfNumber(double v) {
+  if (!std::isfinite(v)) return "null";
+  char buffer[32];
+  std::snprintf(buffer, sizeof(buffer), "%.17g", v);
+  return buffer;
+}
+
+/// The streamed result and batch encoders write the bytes the JsonValue
+/// tree wrote, on seeded results, the empty result and empty batches; and
+/// every number is spelled as %.17g spells it.
+TEST(WireTest, StreamedResultEncodingMatchesTree) {
+  std::mt19937_64 rng(17);
+  std::string reused;
+  EXPECT_EQ(EncodeResultResponse(sql::QueryResult{}),
+            TreeResultResponse(sql::QueryResult{}));
+  EXPECT_EQ(EncodeBatchResponse({}), TreeBatchResponse({}));
+  for (int i = 0; i < 300; ++i) {
+    const sql::QueryResult result = RandomResult(rng);
+    for (const sql::ResultRow& row : result.rows) {
+      for (const double v : row.values) {
+        ASSERT_EQ(JsonValue::Number(v).Dump(), PrintfNumber(v));
+      }
+    }
+    const std::string want = TreeResultResponse(result);
+    ASSERT_EQ(EncodeResultResponse(result), want) << "result " << i;
+    EncodeResultResponseTo(result, &reused);
+    ASSERT_EQ(reused, want) << "result " << i;
+  }
+  for (int i = 0; i < 50; ++i) {
+    std::vector<sql::QueryResult> batch(rng() % 5);
+    for (sql::QueryResult& result : batch) result = RandomResult(rng);
+    ASSERT_EQ(EncodeBatchResponse(batch), TreeBatchResponse(batch))
+        << "batch " << i;
+  }
+  // Spot-check the spellings.
+  sql::QueryResult numbers;
+  numbers.value_names = {"v"};
+  for (const double v : {-0.0, 5e-324, 1e308, 1e16, 1e-5, 0.1}) {
+    numbers.rows.push_back({{}, {v}});
+  }
+  EXPECT_EQ(EncodeResultResponse(numbers),
+            "{\"result\":{\"group_names\":[],\"rows\":["
+            "{\"group\":[],\"values\":[-0]},"
+            "{\"group\":[],\"values\":[4.9406564584124654e-324]},"
+            "{\"group\":[],\"values\":[1e+308]},"
+            "{\"group\":[],\"values\":[10000000000000000]},"
+            "{\"group\":[],\"values\":[1.0000000000000001e-05]},"
+            "{\"group\":[],\"values\":[0.10000000000000001]}],"
+            "\"value_names\":[\"v\"]},\"status\":\"OK\"}");
 }
 
 TEST(WireTest, RequestParsing) {
