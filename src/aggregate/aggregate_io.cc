@@ -1,7 +1,11 @@
 #include "aggregate/aggregate_io.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdlib>
 #include <fstream>
+#include <iterator>
+#include <tuple>
 
 #include "util/string_util.h"
 
@@ -68,6 +72,9 @@ Result<AggregateSpec> ReadAggregateCsv(data::Schema& schema,
   }
   spec.attrs = sorted;
 
+  // Each group with the line it came from, to name both lines of a
+  // duplicate key.
+  std::vector<std::tuple<data::TupleKey, double, size_t>> groups;
   size_t line_no = 1;
   while (GetLine(in, line)) {
     ++line_no;
@@ -83,17 +90,37 @@ Result<AggregateSpec> ReadAggregateCsv(data::Schema& schema,
       key[positions[i]] = schema.domain(file_attrs[i])
                               .Intern(std::string(Trim(fields[i])));
     }
+    // A finite count >= 0 with nothing but blanks around it: a NaN or
+    // infinite target would turn every IPF weight into NaN.
+    const char* text = fields.back().c_str();
     char* end = nullptr;
-    const double count = std::strtod(fields.back().c_str(), &end);
-    if (end == fields.back().c_str() || count < 0) {
+    const double count = std::strtod(text, &end);
+    if (end == text || !Trim(end).empty() || !std::isfinite(count) ||
+        count < 0) {
       return Status::ParseError(StrFormat("'%s' line %zu: bad count '%s'",
-                                          path.c_str(), line_no,
-                                          fields.back().c_str()));
+                                          path.c_str(), line_no, text));
     }
-    spec.groups.emplace_back(std::move(key), count);
+    groups.emplace_back(std::move(key), count, line_no);
   }
-  std::sort(spec.groups.begin(), spec.groups.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::sort(groups.begin(), groups.end(), [](const auto& a, const auto& b) {
+    return std::tie(std::get<0>(a), std::get<2>(a)) <
+           std::tie(std::get<0>(b), std::get<2>(b));
+  });
+  const auto dup = std::adjacent_find(
+      groups.begin(), groups.end(), [](const auto& a, const auto& b) {
+        return std::get<0>(a) == std::get<0>(b);
+      });
+  if (dup != groups.end()) {
+    return Status::ParseError(
+        StrFormat("'%s' line %zu: duplicate group (first on line %zu)",
+                  path.c_str(), std::get<2>(*std::next(dup)),
+                  std::get<2>(*dup)));
+  }
+  spec.groups.reserve(groups.size());
+  for (auto& group : groups) {
+    spec.groups.emplace_back(std::move(std::get<0>(group)),
+                             std::get<1>(group));
+  }
   return spec;
 }
 

@@ -1,10 +1,12 @@
 #include "core/catalog.h"
 
 #include <algorithm>
+#include <unordered_set>
 #include <utility>
 
 #include "core/query_plan.h"
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace themis::core {
 
@@ -92,6 +94,15 @@ Status Catalog::InsertAggregate(const std::string& name,
                                      name + "'");
     }
   }
+  // IPF gives each sample class at most one group per aggregate, so a
+  // repeated key (whose counts would have to hold at once) is refused.
+  std::unordered_set<data::TupleKey, data::TupleKeyHash> keys;
+  for (const auto& [key, count] : aggregate.groups) {
+    if (!keys.insert(key).second) {
+      return Status::InvalidArgument("aggregate for '" + name +
+                                     "' repeats a group key");
+    }
+  }
   relation.pending_aggregates->Add(std::move(aggregate));
   // New knowledge invalidates this relation's model and with it the
   // relation's inference cache and result memo; other relations keep
@@ -117,6 +128,20 @@ Status Catalog::InsertAggregateFrom(
   return InsertAggregate(name,
                          aggregate::ComputeAggregate(population, attrs));
 }
+
+namespace {
+
+/// "[v0, v1, ...]": IPF's final max relative violation of each aggregate.
+std::string FormatViolations(const std::vector<double>& violations) {
+  std::string out = "[";
+  for (size_t a = 0; a < violations.size(); ++a) {
+    if (a > 0) out += ", ";
+    out += StrFormat("%.3g", violations[a]);
+  }
+  return out + "]";
+}
+
+}  // namespace
 
 Status Catalog::Build(const std::string& name) {
   auto it = relations_.find(name);
@@ -147,6 +172,8 @@ Status Catalog::Build(const std::string& name) {
                    << stats.reweight_iterations << " iterations, converged "
                    << (stats.reweight_converged ? "yes" : "no")
                    << ", max violation " << stats.reweight_max_violation
+                   << ", per aggregate "
+                   << FormatViolations(stats.reweight_aggregate_violation)
                    << "), BN structure " << stats.bn_structure_seconds
                    << " s, parameters " << stats.bn_parameter_seconds
                    << " s, compact " << stats.compact_seconds << " s (sample "

@@ -92,8 +92,9 @@ class Catalog {
                       RelationConfig config = {});
 
   /// Adds one population aggregate to the named relation. NotFound when no
-  /// such relation exists; resets the relation's built model (call
-  /// Build(name) again).
+  /// such relation exists; InvalidArgument when an attribute is out of
+  /// range or two groups share a key. Resets the relation's built model
+  /// (call Build(name) again).
   Status InsertAggregate(const std::string& name,
                          aggregate::AggregateSpec aggregate);
 

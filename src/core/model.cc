@@ -140,6 +140,8 @@ Result<ThemisModel> ThemisModel::Build(data::Table sample,
       model.build_stats_.reweight_converged = rw.stats().converged;
       model.build_stats_.reweight_iterations = rw.stats().iterations;
       model.build_stats_.reweight_max_violation = rw.stats().max_violation;
+      model.build_stats_.reweight_aggregate_violation =
+          rw.stats().aggregate_violation;
       break;
     }
   }

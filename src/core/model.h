@@ -30,6 +30,10 @@ struct BuildStats {
   /// IPF's final max relative constraint violation (IpfStats); 0 for the
   /// other reweighters.
   double reweight_max_violation = 0;
+  /// IPF's final max relative violation of each aggregate, in the order of
+  /// aggregates() (IpfStats::aggregate_violation): the per-aggregate fit
+  /// residuals. Empty for the other reweighters.
+  std::vector<double> reweight_aggregate_violation;
   size_t aggregates_used = 0;
   /// Seconds classifying the sample's rows (once) and compacting the
   /// sample and the raw sample the BN learns from, summed; these stages

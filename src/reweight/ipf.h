@@ -1,6 +1,8 @@
 #ifndef THEMIS_REWEIGHT_IPF_H_
 #define THEMIS_REWEIGHT_IPF_H_
 
+#include <vector>
+
 #include "reweight/reweighter.h"
 
 namespace themis::reweight {
@@ -12,17 +14,16 @@ struct IpfOptions {
   /// Relative satisfaction tolerance: converged when every constraint j
   /// has |G[j]·w − y[j]| ≤ tolerance · max(1, y[j]).
   double tolerance = 1e-8;
-  /// When true (default off), sum-normalize the final weights to the
-  /// population size. The raw IPF fixed point already matches each
-  /// aggregate's total when a feasible scaling exists, so this is off by
-  /// default to preserve exact marginal satisfaction.
-  bool sum_normalize = false;
 };
 
 struct IpfStats {
   int iterations = 0;       ///< sweeps actually performed
   bool converged = false;   ///< all constraints satisfied within tolerance
   double max_violation = 0; ///< final max relative constraint violation
+  /// The final max relative violation of each aggregate's groups, in
+  /// aggregate order (max_violation is their max): the per-aggregate fit
+  /// residuals. Empty when no sweep ran.
+  std::vector<double> aggregate_violation;
 };
 
 /// Iterative Proportional Fitting (Sec 4.1.2, Alg 1): treats every tuple
@@ -33,7 +34,13 @@ struct IpfStats {
 /// Rows with equal codes on every aggregate-covered attribute always share
 /// one weight, so the loop runs over those distinct-tuple classes, weighing
 /// each by its row count, and copies the class weight to its rows at the
-/// end.
+/// end. Each aggregate keeps one group id per class; a sweep makes one
+/// sequential pass over the classes per aggregate, which scales each class
+/// by its group's factor and adds it to the next aggregate's group sums.
+/// The stop test sums the other aggregates only once aggregate 0 holds.
+/// The weights are those of Alg 1's group-by-group loop bit for bit. The
+/// groups of an aggregate must have distinct keys (InvalidArgument
+/// otherwise).
 class IpfReweighter : public Reweighter {
  public:
   explicit IpfReweighter(IpfOptions options = {}) : options_(options) {}

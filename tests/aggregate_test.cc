@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -84,6 +85,59 @@ TEST(AggregateIoTest, CrlfReadsLikeLf) {
   auto bad = read("state,count\r\nCA,3\r\nNY,abc\r\n");
   EXPECT_EQ(bad.status().message(),
             "'" + path + "' line 3: bad count 'abc'");
+  std::remove(path.c_str());
+}
+
+// A count must be a finite number >= 0 with only blanks around it: a
+// NaN target once turned every IPF weight into NaN.
+TEST(AggregateIoTest, RejectsNonFiniteAndMalformedCounts) {
+  const std::string path = std::filesystem::temp_directory_path() /
+                           "themis_agg_counts.csv";
+  auto read = [&](const std::string& count) {
+    std::ofstream(path, std::ios::binary)
+        << "state,count\nCA,3\nNY," << count << "\n";
+    data::Schema schema;
+    schema.AddAttribute("state");
+    return ReadAggregateCsv(schema, path);
+  };
+  for (const char* bad : {"nan", "NaN", "inf", "-inf", "1e999", "12abc",
+                          "3 4", "-1", "", "0x"}) {
+    auto spec = read(bad);
+    EXPECT_EQ(spec.status().code(), StatusCode::kParseError) << bad;
+    EXPECT_EQ(spec.status().message(), "'" + path + "' line 3: bad count '" +
+                                            std::string(bad) + "'")
+        << bad;
+  }
+  for (const char* good : {"4", " 4 ", "4.5", "0", "1e3"}) {
+    EXPECT_TRUE(read(good).ok()) << good;
+  }
+  std::remove(path.c_str());
+}
+
+// Two lines with one group key would ask IPF to fit two counts for one
+// set of tuples; the reader names both lines.
+TEST(AggregateIoTest, RejectsDuplicateGroups) {
+  const std::string path = std::filesystem::temp_directory_path() /
+                           "themis_agg_dupes.csv";
+  std::ofstream(path, std::ios::binary)
+      << "a,b,count\nx,p,1\ny,p,2\nx,q,3\ny,p,4\n";
+  data::Schema schema;
+  schema.AddAttribute("a");
+  schema.AddAttribute("b");
+  auto spec = ReadAggregateCsv(schema, path);
+  EXPECT_EQ(spec.status().code(), StatusCode::kParseError);
+  EXPECT_EQ(spec.status().message(),
+            "'" + path + "' line 5: duplicate group (first on line 3)");
+  // The same keys once each read fine, sorted by key.
+  std::ofstream(path, std::ios::binary)
+      << "a,b,count\ny,p,2\nx,q,3\nx,p,1\n";
+  spec = ReadAggregateCsv(schema, path);
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  ASSERT_EQ(spec->num_groups(), 3u);
+  EXPECT_TRUE(std::is_sorted(
+      spec->groups.begin(), spec->groups.end(),
+      [](const auto& l, const auto& r) { return l.first < r.first; }));
+  EXPECT_EQ(spec->TotalCount(), 6.0);
   std::remove(path.c_str());
 }
 

@@ -179,6 +179,24 @@ TEST_F(CatalogTest, LifecycleAndPreciseErrorCodes) {
   EXPECT_TRUE(catalog.built("flights"));
 }
 
+// An aggregate that repeats a group key is refused, and the relation
+// keeps the aggregates it had: the build still succeeds.
+TEST_F(CatalogTest, AggregateWithRepeatedGroupKeyRejected) {
+  Catalog catalog(FastOptions());
+  ASSERT_TRUE(catalog.InsertSample("flights", flights_sample_->Clone()).ok());
+  aggregate::AggregateSpec date =
+      aggregate::ComputeAggregate(*flights_population_, {0});
+  ASSERT_EQ(date.num_groups(), 2u);
+  aggregate::AggregateSpec repeated = date;
+  repeated.groups.push_back(date.groups[0]);
+  const Status status = catalog.InsertAggregate("flights", repeated);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(status.message(), "aggregate for 'flights' repeats a group key");
+  ASSERT_TRUE(catalog.InsertAggregate("flights", date).ok());
+  ASSERT_TRUE(catalog.Build("flights").ok());
+  EXPECT_EQ(catalog.model("flights")->aggregates().size(), 1u);
+}
+
 /// Flights and shops coexist in one ThemisDb; every query under every
 /// AnswerMode answers bitwise identically to (a) a dedicated
 /// single-relation ThemisDb and (b) a raw dedicated ThemisModel +

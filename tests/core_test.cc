@@ -19,8 +19,6 @@
 #include "core/model.h"
 #include "core/themis_db.h"
 #include "data/csv.h"
-#include "data/row_classes.h"
-#include "reweight/incidence.h"
 #include "reweight/ipf.h"
 #include "sql/executor.h"
 #include "sql/parser.h"
@@ -30,6 +28,8 @@
 #include "workload/experiment.h"
 #include "workload/flights.h"
 #include "workload/sampler.h"
+
+#include "ipf_reference.h"
 
 namespace themis::core {
 namespace {
@@ -441,48 +441,6 @@ bool Bitwise(const std::vector<double>& a, const std::vector<double>& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
-/// IPF over distinct-tuple classes with its sweeps over the incidence
-/// matrix's own size_t indices and separate count and weight arrays: the
-/// row weights IpfReweighter must give bit for bit.
-std::vector<double> ReferenceIpfRowWeights(
-    const data::Table& sample, const aggregate::AggregateSet& aggregates,
-    const reweight::IpfOptions& options) {
-  const data::RowClasses classes =
-      data::ClassifyRows(sample, aggregates.CoveredAttributes());
-  std::vector<bool> first_row(sample.num_rows(), false);
-  for (uint32_t r : classes.first_row) first_row[r] = true;
-  const reweight::IncidenceSystem sys =
-      reweight::BuildIncidence(sample.Filter(first_row), aggregates);
-  const std::vector<double> count(classes.count.begin(), classes.count.end());
-  std::vector<double> w(count.size(), 1.0);
-  auto row_sum = [&](size_t j) {
-    double s = 0;
-    for (size_t c : sys.g.Row(j)) s += count[c] * w[c];
-    return s;
-  };
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
-    for (size_t j = 0; j < sys.g.rows(); ++j) {
-      if (sys.g.Row(j).empty()) continue;
-      const double got = row_sum(j);
-      if (got == sys.y[j] || got <= 0.0) continue;
-      const double s = sys.y[j] / got;
-      for (size_t c : sys.g.Row(j)) w[c] *= s;
-    }
-    double worst = 0;
-    for (size_t j = 0; j < sys.g.rows(); ++j) {
-      if (sys.g.Row(j).empty()) continue;
-      worst = std::max(worst, std::abs(row_sum(j) - sys.y[j]) /
-                                  std::max(1.0, std::abs(sys.y[j])));
-    }
-    if (worst <= options.tolerance) break;
-  }
-  std::vector<double> row_weights(sample.num_rows());
-  for (size_t r = 0; r < sample.num_rows(); ++r) {
-    row_weights[r] = w[classes.row_class[r]];
-  }
-  return row_weights;
-}
-
 /// The model a build returns against its stages run one at a time: IPF's
 /// row weights, the compacted reweighted sample, and the BN learned from
 /// the compacted raw sample, all bit for bit.
@@ -494,8 +452,10 @@ void ExpectBuildMatchesStages(const ThemisModel& model,
   reweight::IpfReweighter ipf(options.ipf);
   ASSERT_TRUE(
       ipf.Reweight(reweighted, aggregates, model.population_size()).ok());
-  EXPECT_TRUE(Bitwise(reweighted.weights(),
-                      ReferenceIpfRowWeights(sample, aggregates, options.ipf)));
+  EXPECT_TRUE(
+      Bitwise(reweighted.weights(),
+              reweight::ReferenceIpf(sample, aggregates, options.ipf)
+                  .row_weights));
   const data::Table compacted = reweighted.Compact();
   const data::Table& got = model.reweighted_sample();
   ASSERT_EQ(got.num_rows(), compacted.num_rows());

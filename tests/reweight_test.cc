@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "reweight/incidence.h"
 #include "reweight/ipf.h"
@@ -9,6 +10,8 @@
 #include "reweight/uniform.h"
 #include "workload/flights.h"
 #include "workload/sampler.h"
+
+#include "ipf_reference.h"
 
 namespace themis::reweight {
 namespace {
@@ -126,6 +129,11 @@ TEST(IpfTest, ConvergesOnFeasibleSystem) {
   IpfReweighter rw;
   ASSERT_TRUE(rw.Reweight(full, ex.aggregates, 10.0).ok());
   EXPECT_TRUE(rw.stats().converged);
+  // Every aggregate's fit residual is within the tolerance.
+  ASSERT_EQ(rw.stats().aggregate_violation.size(), 2u);
+  for (double v : rw.stats().aggregate_violation) {
+    EXPECT_LE(v, IpfOptions{}.tolerance);
+  }
   IncidenceSystem sys = BuildIncidence(full, ex.aggregates);
   for (size_t j = 0; j < sys.g.rows(); ++j) {
     if (sys.g.Row(j).empty()) continue;
@@ -253,6 +261,180 @@ TEST(IpfTest, ClassesMatchRowLevelOnBiasedFlightsSample) {
   ASSERT_LT(aggregates.CoveredAttributes().size(),
             population.num_attributes());
   ExpectClassIpfMatchesRowLevel(*sample, aggregates, IpfOptions{});
+}
+
+/// Runs IpfReweighter on a copy of `sample` and expects ReferenceIpf's
+/// row weights and stats, bit for bit. Returns the reference's stats.
+IpfStats ExpectIpfMatchesReference(const data::Table& sample,
+                                   const aggregate::AggregateSet& aggregates,
+                                   const IpfOptions& options) {
+  data::Table got = sample.Clone();
+  IpfReweighter rw(options);
+  EXPECT_TRUE(rw.Reweight(got, aggregates, 1.0).ok());
+  const ReferenceIpfResult want = ReferenceIpf(sample, aggregates, options);
+  EXPECT_EQ(got.weights().size(), want.row_weights.size());
+  if (got.weights().size() == want.row_weights.size()) {
+    EXPECT_EQ(std::memcmp(got.weights().data(), want.row_weights.data(),
+                          want.row_weights.size() * sizeof(double)),
+              0);
+  }
+  EXPECT_EQ(rw.stats().iterations, want.stats.iterations);
+  EXPECT_EQ(rw.stats().converged, want.stats.converged);
+  EXPECT_EQ(rw.stats().max_violation, want.stats.max_violation);
+  EXPECT_EQ(rw.stats().aggregate_violation, want.stats.aggregate_violation);
+  return want.stats;
+}
+
+/// The Example population with every o_st=NC row repeated: each
+/// population tuple is in the sample, so aggregates of the population are
+/// consistent with it and IPF converges.
+data::Table BiasedFullSample(const Example& ex) {
+  data::Table sample = ex.population.Clone();
+  for (size_t r = 0; r < ex.population.num_rows(); ++r) {
+    if (ex.population.column(1)[r] == 1) {
+      sample.AppendRowLabels(
+          {ex.schema->domain(0).Label(ex.population.column(0)[r]), "NC",
+           ex.schema->domain(2).Label(ex.population.column(2)[r])});
+    }
+  }
+  return sample;
+}
+
+TEST(IpfTest, MatchesReferenceOnExample42) {
+  // The (FL, NY) group has no participants; IPF does not converge.
+  Example ex;
+  const IpfStats stats =
+      ExpectIpfMatchesReference(ex.sample, ex.aggregates, IpfOptions{});
+  EXPECT_FALSE(stats.converged);
+  EXPECT_EQ(stats.iterations, IpfOptions{}.max_iterations);
+}
+
+TEST(IpfTest, MatchesReferenceWhenConvergingEarly) {
+  // The date and o_st marginals cross (every o_st has flights on both
+  // dates), so IPF needs several sweeps. Date is fitted first, so it is
+  // what each unfinished sweep leaves violated: the aggregate-0 stop test
+  // turns those sweeps down, and the full check ends the loop.
+  Example ex;
+  aggregate::AggregateSet aggregates(ex.schema);
+  aggregates.Add(aggregate::ComputeAggregate(ex.population, {0}));
+  aggregates.Add(aggregate::ComputeAggregate(ex.population, {1}));
+  const IpfStats stats = ExpectIpfMatchesReference(
+      BiasedFullSample(ex), aggregates, IpfOptions{});
+  EXPECT_TRUE(stats.converged);
+  EXPECT_GT(stats.iterations, 1);
+  EXPECT_LT(stats.iterations, IpfOptions{}.max_iterations);
+}
+
+TEST(IpfTest, MatchesReferenceWhenAggregateZeroHoldsAndAnotherDoesNot) {
+  // Date, (o_st, d_st), date again: every sweep ends fitting the date
+  // marginal, so aggregate 0 holds while (o_st, d_st) cannot, and the full
+  // check runs after every sweep.
+  Example ex;
+  aggregate::AggregateSet aggregates(ex.schema);
+  aggregates.Add(ex.aggregates[0]);
+  aggregates.Add(ex.aggregates[1]);
+  aggregates.Add(ex.aggregates[0]);
+  const IpfStats stats =
+      ExpectIpfMatchesReference(ex.sample, aggregates, IpfOptions{});
+  EXPECT_FALSE(stats.converged);
+  EXPECT_LE(stats.aggregate_violation[0], IpfOptions{}.tolerance);
+  EXPECT_GT(stats.aggregate_violation[1], IpfOptions{}.tolerance);
+}
+
+TEST(IpfTest, MatchesReferenceWithAClassInNoGroup) {
+  // (02, NY, FL) is in the date=02 group, and the (o_st, d_st) aggregate
+  // comes without its (NY, FL) group, so that class is in none of its
+  // groups.
+  Example ex;
+  data::Table sample = ex.sample.Clone();
+  sample.AppendRowLabels({"02", "NY", "FL"});
+  sample.AppendRowLabels({"02", "NY", "FL"});
+  aggregate::AggregateSet aggregates(ex.schema);
+  aggregates.Add(ex.aggregates[0]);
+  aggregate::AggregateSpec od = ex.aggregates[1];
+  const data::TupleKey ny_fl = {2, 0};
+  std::erase_if(od.groups,
+                [&](const auto& g) { return g.first == ny_fl; });
+  aggregates.Add(std::move(od));
+  ExpectIpfMatchesReference(sample, aggregates, IpfOptions{});
+  IpfOptions one_sweep;
+  one_sweep.max_iterations = 1;
+  ExpectIpfMatchesReference(sample, aggregates, one_sweep);
+}
+
+TEST(IpfTest, MatchesReferenceWithAZeroCountGroup) {
+  // date=02 has participants but a count of 0: the first sweep drives
+  // (02, NC, NY) to weight 0, and from then on the (NC, NY) group's sum is
+  // 0, so the got <= 0 skip keeps its factor at 1.
+  Example ex;
+  aggregate::AggregateSet aggregates(ex.schema);
+  aggregate::AggregateSpec date = ex.aggregates[0];
+  for (auto& [key, count] : date.groups) {
+    if (key == data::TupleKey{1}) count = 0;
+  }
+  aggregates.Add(std::move(date));
+  aggregates.Add(ex.aggregates[1]);
+  data::Table sample = ex.sample.Clone();
+  IpfReweighter rw;
+  ASSERT_TRUE(rw.Reweight(sample, aggregates, 1.0).ok());
+  EXPECT_EQ(sample.weight(2), 0.0);
+  ExpectIpfMatchesReference(ex.sample, aggregates, IpfOptions{});
+}
+
+TEST(IpfTest, MatchesReferenceWithASingleAggregate) {
+  Example ex;
+  aggregate::AggregateSet aggregates(ex.schema);
+  aggregates.Add(ex.aggregates[1]);
+  const IpfStats stats =
+      ExpectIpfMatchesReference(ex.sample, aggregates, IpfOptions{});
+  EXPECT_TRUE(stats.converged);
+  ExpectIpfMatchesReference(BiasedFullSample(ex), aggregates, IpfOptions{});
+}
+
+TEST(IpfTest, MatchesReferenceWithOneSweep) {
+  Example ex;
+  IpfOptions one_sweep;
+  one_sweep.max_iterations = 1;
+  const IpfStats stats =
+      ExpectIpfMatchesReference(ex.sample, ex.aggregates, one_sweep);
+  EXPECT_EQ(stats.iterations, 1);
+  ExpectIpfMatchesReference(BiasedFullSample(ex), ex.aggregates, one_sweep);
+}
+
+TEST(IpfTest, MatchesReferenceOnFlightsWithA1DAggregateFirst) {
+  // Many rows per class, overlapping 1-D and 2-D aggregates, the 1-D
+  // origin marginal loaded first; then the 2-D one first.
+  workload::FlightsConfig config;
+  config.num_rows = 8000;
+  data::Table population = workload::GenerateFlights(config);
+  auto sample = workload::MakeFlightsSample(population, "Corners", 0.1, 23);
+  ASSERT_TRUE(sample.ok());
+  using workload::FlightsAttrs;
+  const std::vector<std::vector<size_t>> attrs = {
+      {FlightsAttrs::kOrigin},
+      {FlightsAttrs::kOrigin, FlightsAttrs::kDest},
+      {FlightsAttrs::kDate}};
+  aggregate::AggregateSet one_d_first(population.schema());
+  for (const auto& a : attrs) {
+    one_d_first.Add(aggregate::ComputeAggregate(population, a));
+  }
+  ExpectIpfMatchesReference(*sample, one_d_first, IpfOptions{});
+  aggregate::AggregateSet two_d_first(population.schema());
+  two_d_first.Add(one_d_first[1]);
+  two_d_first.Add(one_d_first[0]);
+  two_d_first.Add(one_d_first[2]);
+  ExpectIpfMatchesReference(*sample, two_d_first, IpfOptions{});
+}
+
+TEST(IpfTest, DuplicateGroupKeysAreRejected) {
+  Example ex;
+  aggregate::AggregateSet aggregates(ex.schema);
+  aggregate::AggregateSpec date = ex.aggregates[0];
+  date.groups.push_back(date.groups[0]);
+  aggregates.Add(std::move(date));
+  IpfReweighter rw;
+  EXPECT_EQ(rw.Reweight(ex.sample, aggregates, 10.0).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(LinRegTest, WeightsPositiveAndNormalized) {

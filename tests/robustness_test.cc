@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 
@@ -123,6 +124,14 @@ TEST_P(NoisyAggregateTest, PipelineSurvivesNoise) {
   auto model =
       core::ThemisModel::Build(sample->Clone(), aggregates, options);
   ASSERT_TRUE(model.ok()) << model.status().ToString();
+  // Perturbed aggregates disagree with one another, so IPF leaves a fit
+  // residual, reported per aggregate.
+  const std::vector<double>& residuals =
+      model->build_stats().reweight_aggregate_violation;
+  ASSERT_EQ(residuals.size(), 3u);
+  if (sigma > 0) {
+    EXPECT_GT(*std::max_element(residuals.begin(), residuals.end()), 0.0);
+  }
   // Weights stay non-negative; CPTs stay simplexes; queries answer.
   for (double w : model->reweighted_sample().weights()) EXPECT_GE(w, 0.0);
   for (size_t v = 0; v < model->network()->num_nodes(); ++v) {
